@@ -253,29 +253,35 @@ def poly_gcd(f: AlphaPoly, g: AlphaPoly) -> AlphaPoly:
 
 
 def exact_poly_div(f: AlphaPoly, g: AlphaPoly) -> AlphaPoly:
-    """Exact polynomial quotient f / g in Z[alpha]; raises if inexact."""
+    """Exact polynomial quotient f / g in Z[alpha]; raises if inexact.
+
+    Integer long division with divmod.  It raises at the first quotient
+    digit that is not an integer, or on a nonzero remainder: exactly the
+    cases in which long division over Q gives a quotient outside Z[alpha]
+    or leaves a remainder.
+    """
     if not g:
         raise ZeroDivisionError("division by zero polynomial")
     if not f:
         return AlphaPoly.ZERO
-    rem = [Fraction(c) for c in f.coeffs]
-    dg = g.degree
-    lg = g.leading
-    quot = [Fraction(0)] * (len(rem) - dg)
-    while len(rem) - 1 >= dg:
-        while rem and rem[-1] == 0:
-            rem.pop()
-        if len(rem) - 1 < dg:
-            break
-        q = rem[-1] / lg
-        shift = len(rem) - 1 - dg
+    rem = list(f.coeffs)
+    gc = g.coeffs
+    dg = len(gc) - 1
+    lg = gc[-1]
+    quot = [0] * (len(rem) - dg)
+    for shift in range(len(rem) - 1 - dg, -1, -1):
+        top = rem[shift + dg]
+        if not top:
+            continue
+        q, r = divmod(top, lg)
+        if r:
+            raise ExactnessError(f"({f}) is not divisible by ({g})")
         quot[shift] = q
-        for i, gc in enumerate(g.coeffs):
-            rem[shift + i] -= q * gc
-        rem.pop()
-    if any(rem) or any(q.denominator != 1 for q in quot):
+        for i in range(dg):
+            rem[shift + i] -= q * gc[i]
+    if any(rem[:dg]):
         raise ExactnessError(f"({f}) is not divisible by ({g})")
-    return AlphaPoly(tuple(int(q) for q in quot))
+    return AlphaPoly(quot)
 
 
 class AlphaFrac:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence
 
 from .alphapoly import AlphaPoly
@@ -114,8 +115,12 @@ class PairingContext:
         return self.delta.terms.get(exp, 0)
 
 
+@lru_cache(maxsize=4)
 def pairing_context(n: int, k: int) -> PairingContext:
-    """Expand prod over i != j of (1 - x_i / x_j)^k exactly."""
+    """Expand prod over i != j of (1 - x_i / x_j)^k exactly.
+
+    Memoized: a sweep asks for the same few (n, k) many times.  The context
+    is shared, so callers must not modify its weight."""
     if k < 1:
         raise ValueError("k must be a positive integer")
     delta = MPoly.one(n)

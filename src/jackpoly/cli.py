@@ -213,6 +213,10 @@ def _run_check(name: str, args, threads: int) -> list:
 
 
 def _cmd_verify(args) -> int:
+    if args.n_max < 1:
+        raise CliError(2, f"--n-max must be a positive integer, got {args.n_max}")
+    if args.deg_max < 0:
+        raise CliError(2, f"--deg-max must be a non-negative integer, got {args.deg_max}")
     _guard_desk_scale(args.force, n_max=args.n_max, deg_max=args.deg_max)
     threads = _thread_count(args)
     verdicts = _run_check(args.check, args, threads)

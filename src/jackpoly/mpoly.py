@@ -269,7 +269,17 @@ def divide_coefficients(f: MPoly, d: AlphaPoly) -> MPoly:
     """Divide every coefficient by the polynomial d, landing in AlphaFrac."""
     if not d:
         raise ZeroDivisionError("division by the zero polynomial")
-    return f.map_coefficients(lambda c: AlphaFrac(c, d))
+    quotients: dict = {}
+
+    def divide(c):
+        # equal coefficients are common (and often one shared object), so
+        # each distinct value is reduced once
+        q = quotients.get(c)
+        if q is None:
+            q = quotients[c] = AlphaFrac(c, d)
+        return q
+
+    return f.map_coefficients(divide)
 
 
 def specialize_alpha(f: MPoly, value) -> MPoly:

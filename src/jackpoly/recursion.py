@@ -12,6 +12,7 @@ product of upper hooks over the diagram.
 
 from __future__ import annotations
 
+import re
 import threading
 from dataclasses import dataclass
 from typing import Sequence
@@ -40,7 +41,7 @@ class RecursionCache:
     """Thread-safe memo of computed F polynomials, keyed by composition.
 
     Purely an accelerator: results are identical with a warm, cold or absent
-    cache.
+    cache, provided every entry is the true F (entries are trusted).
     """
 
     def __init__(self):
@@ -85,10 +86,28 @@ def cache_document(cache: RecursionCache, n: int) -> dict:
     return {"version": CACHE_FORMAT_VERSION, "n": n, "entries": entries}
 
 
+_DECIMAL = re.compile(r"-?[0-9]+")
+
+
+def _json_ints(items) -> tuple[int, ...]:
+    """Integers from a JSON list whose items are JSON integers or decimal
+    strings.  Floats and bools are refused rather than truncated or read as
+    0/1."""
+    if type(items) is not list:
+        raise CacheFormatError(f"expected a list of integers, got {items!r}")
+    for x in items:
+        if type(x) is not int and not (type(x) is str and _DECIMAL.fullmatch(x)):
+            raise CacheFormatError(f"expected an integer, got {x!r}")
+    return tuple(map(int, items))
+
+
 def load_cache_document(doc: dict, cache: RecursionCache) -> int:
     """Install entries from a JSON cache document; returns its variable count.
 
-    Rejects version mismatches and entries inconsistent with the declared n.
+    Rejects version mismatches, entries inconsistent with the declared n,
+    numbers that are not integers, and negative coefficient digits (every
+    coefficient of F is a non-negative polynomial, and the recursion relies
+    on that).  A well-formed entry with wrong positive values is not caught.
     """
     if not isinstance(doc, dict):
         raise CacheFormatError("cache document is not an object")
@@ -96,19 +115,22 @@ def load_cache_document(doc: dict, cache: RecursionCache) -> int:
         raise CacheFormatError(
             f"unsupported cache version {doc.get('version')!r}, want {CACHE_FORMAT_VERSION}")
     n = doc.get("n")
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:
         raise CacheFormatError("cache document has an invalid variable count")
     try:
         for entry in doc["entries"]:
-            lam = tuple(int(x) for x in entry["lambda"])
+            lam = _json_ints(entry["lambda"])
             if len(lam) != n or any(x < 0 for x in lam):
                 raise CacheFormatError(f"entry {lam} inconsistent with n={n}")
             terms = {}
             for term in entry["poly"]:
-                exp = tuple(int(x) for x in term["exp"])
+                exp = _json_ints(term["exp"])
                 if len(exp) != n:
                     raise CacheFormatError(f"exponent {exp} inconsistent with n={n}")
-                terms[exp] = AlphaPoly.from_json(term["coef"])
+                coef = AlphaPoly(_json_ints(term["coef"]))
+                if not coef.is_nonnegative():
+                    raise CacheFormatError(f"entry {lam} has a negative coefficient {coef}")
+                terms[exp] = coef
             cache.put(lam, MPoly(n, terms))
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, CacheFormatError):
@@ -133,23 +155,82 @@ def phi_k(k: int, f: MPoly) -> MPoly:
     return out
 
 
-def _apply_raising(lam: Composition, f: MPoly) -> MPoly:
+class _Packing:
+    """Kronecker packing of non-negative Z[alpha] coefficients at alpha = 2^bits.
+
+    Exact as long as every digit stays below 2^bits (see _digit_bound).
+    Unpacked values are shared between terms with equal coefficients, and
+    remembered by identity so that the next step packs each with a lookup.
+    """
+
+    __slots__ = ("bits", "polys", "packed")
+
+    def __init__(self, bits: int):
+        self.bits = bits
+        self.polys: dict[int, AlphaPoly] = {}
+        self.packed: dict[int, int] = {}
+
+
+def _pack(c: AlphaPoly, bits: int) -> int:
+    p = 0
+    for d in reversed(c.coeffs):
+        p = (p << bits) | d
+    return p
+
+
+def _unpack(p: int, bits: int) -> AlphaPoly:
+    mask = (1 << bits) - 1
+    digits = []
+    while p:
+        digits.append(p & mask)
+        p >>= bits
+    return AlphaPoly(digits)
+
+
+def _digit_bound(start: MPoly, pending: list[Composition]) -> int:
+    """A bound on every coefficient digit along the pending steps.
+
+    All coefficients stay non-negative, so the digit sum of a polynomial is
+    its value at alpha = 1.  A step maps each term to n - m + 1 terms, one
+    of them weighted by the raising scalar, so it multiplies that value by
+    raising_scalar(1) + n - m; no single digit can exceed the final value.
+    """
+    total = 0
+    for c in start.terms.values():
+        if any(d < 0 for d in c.coeffs):
+            raise CacheFormatError(
+                f"F has a negative coefficient {c}; the recursion cannot continue from it")
+        total += sum(c.coeffs)
+    for lam in pending:
+        total *= raising_scalar(lam).evaluate(1) + len(lam) - length(lam)
+    return total
+
+
+def _apply_raising(lam: Composition, f: MPoly, packing: _Packing) -> MPoly:
     n = len(lam)
     m = length(lam)
-    scal = raising_scalar(lam)
-    acc: dict[tuple[int, ...], AlphaPoly] = {}
-    for k in range(m, n + 1):
-        weighted = k == m
-        for e, c in f.terms.items():
+    bits = packing.bits
+    polys = packing.polys
+    packed = packing.packed
+    scal = _pack(raising_scalar(lam), bits)
+    vals = [packed.get(id(c)) or _pack(c, bits) for c in f.terms.values()]
+    acc: dict[tuple[int, ...], object] = {}
+    get = acc.get
+    for e, p in zip(f.terms, vals):
+        exp = e[1:m] + (e[0] + 1,) + e[m:]
+        acc[exp] = get(exp, 0) + p * scal
+    for k in range(m + 1, n + 1):
+        for e, p in zip(f.terms, vals):
             exp = e[1:k] + (e[0] + 1,) + e[k:]
-            if weighted:
-                c = c * scal
-            prev = acc.get(exp)
-            s = c if prev is None else prev + c
-            if s:
-                acc[exp] = s
-            elif exp in acc:
-                del acc[exp]
+            acc[exp] = get(exp, 0) + p
+    del vals  # free before unpacking, so the peak holds one packed copy
+    # unpack in place: the step's own dict becomes its AlphaPoly result
+    for exp, p in acc.items():
+        c = polys.get(p)
+        if c is None:
+            c = polys[p] = _unpack(p, bits)
+            packed[id(c)] = p
+        acc[exp] = c
     out = MPoly(n)
     out.terms = acc
     return out
@@ -157,7 +238,10 @@ def _apply_raising(lam: Composition, f: MPoly) -> MPoly:
 
 def f_poly(lam: Sequence[int], cache: RecursionCache | None = None) -> MPoly:
     """The integral non-symmetric polynomial indexed by lam, with coefficients
-    in Z[alpha].  F of the zero composition is 1."""
+    in Z[alpha].  F of the zero composition is 1.
+
+    The steps run on coefficients packed into one int each (see _Packing),
+    with a digit width proved wide enough by _digit_bound."""
     lam = tuple(lam)
     n = len(lam)
     pending: list[Composition] = []
@@ -174,9 +258,12 @@ def f_poly(lam: Sequence[int], cache: RecursionCache | None = None) -> MPoly:
             break
         pending.append(cur)
         cur = star_shape(cur)
+    if not pending:
+        return f
+    packing = _Packing(_digit_bound(f, pending).bit_length())
     while pending:
         cur = pending.pop()
-        f = _apply_raising(cur, f)
+        f = _apply_raising(cur, f, packing)
         if cache is not None:
             cache.put(cur, f)
     return f

@@ -28,7 +28,7 @@ from .compositions import (
     Ordering,
     zero_shape,
 )
-from .mpoly import MPoly
+from .mpoly import MPoly, divide_coefficients
 from .recursion import RecursionCache, f_poly, phi_k
 from . import permutations as perm
 
@@ -107,7 +107,7 @@ def p_poly(lam: Sequence[int], n: int, cache: RecursionCache | None = None) -> M
     lam = tuple(lam)[:length(lam)]
     j = j_poly(lam, n, cache)
     hooks = lower_hook_product(lam)
-    p = j.map_coefficients(lambda c: AlphaFrac(c, hooks))
+    p = divide_coefficients(j, hooks)
     lead = p.coefficient(lam + (0,) * (n - len(lam)))
     if lead != 1:
         raise ArithmeticError(f"leading coefficient of P[{lam}] is {lead}, not 1")
@@ -178,23 +178,20 @@ class MonomialExpansion:
 
 def expand_monomial(f: MPoly) -> MonomialExpansion:
     """Unique expansion of a symmetric polynomial over monomial symmetric
-    functions, by repeatedly stripping the lexicographically largest
-    partition-shaped term (which is dominance-maximal)."""
-    for i in range(1, f.n):
-        if f.swap(i, i + 1) != f:
-            raise ValueError(f"input is not symmetric (fails at positions {i}, {i + 1})")
-    remaining = MPoly(f.n)
-    remaining.terms = dict(f.terms)
-    entries: dict = {}
-    while remaining.terms:
-        tops = [e for e in remaining.terms if all(e[i] >= e[i + 1] for i in range(len(e) - 1))]
-        if not tops:
-            raise ArithmeticError("no partition-shaped term left: internal error")
-        mu = max(tops)
-        v = remaining.terms[mu]
-        key = tuple(x for x in mu if x)
-        entries[key] = v
-        remaining = remaining - monomial_symmetric(key, f.n).scale(v)
+    functions.  Once the input is known to be symmetric, the coefficient of
+    m_mu is the coefficient of the single term x^mu; entries are keyed in
+    lexicographically descending order of mu."""
+    terms = f.terms
+    for i in range(f.n - 1):
+        # f equals its image under x_i <-> x_{i+1} iff every term meets its
+        # swapped partner with the same coefficient
+        for e, c in terms.items():
+            if e[i] != e[i + 1] and terms.get(e[:i] + (e[i + 1], e[i]) + e[i + 2:]) != c:
+                raise ValueError(
+                    f"input is not symmetric (fails at positions {i + 1}, {i + 2})")
+    tops = sorted((e for e in terms if all(a >= b for a, b in zip(e, e[1:]))),
+                  reverse=True)
+    entries = {tuple(x for x in mu if x): terms[mu] for mu in tops}
     return MonomialExpansion(f.n, entries)
 
 

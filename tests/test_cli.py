@@ -215,6 +215,51 @@ def test_cache_import_corrupt_file(tmp_path, capsys):
     assert code == 3
 
 
+def _edit_first_term(field, value):
+    def edit(entry):
+        if field == "lambda":
+            entry["lambda"] = value
+        else:
+            entry["poly"][0][field] = value
+    return edit
+
+
+@pytest.mark.parametrize("edit", [
+    _edit_first_term("lambda", [1.5, 0]),
+    _edit_first_term("lambda", [True, 0]),
+    _edit_first_term("exp", [1.0, 0]),
+    _edit_first_term("coef", ["-7"]),
+    _edit_first_term("coef", [-7]),
+    _edit_first_term("coef", [7.0]),
+    _edit_first_term("coef", "17"),
+], ids=["float-lambda", "bool-lambda", "float-exp", "negative-coef-string",
+        "negative-coef-int", "float-coef", "coef-not-a-list"])
+def test_compute_rejects_untrustworthy_cache_entry(tmp_path, capsys, edit):
+    cache_dir = tmp_path / "cache"
+    code, clean, _ = run(capsys, "compute", "F", "--lambda", "1,0", "--n", "2",
+                         "--cache-dir", str(cache_dir))
+    assert code == 0 and clean == "(a+1)*x1 + x2\n"
+    path = cache_dir / "recursion-cache-n2.json"
+    doc = json.loads(path.read_text())
+    entry = next(e for e in doc["entries"] if e["lambda"] == [1, 0])
+    edit(entry)
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "compute", "F", "--lambda", "1,0", "--n", "2",
+                         "--cache-dir", str(cache_dir))
+    assert code == 3
+    assert out == ""
+    assert err.count("\n") == 1 and "cannot load cache file" in err
+
+
+@pytest.mark.parametrize("bounds", [["--n-max", "-3"], ["--n-max", "0"],
+                                    ["--n-max", "2", "--deg-max", "-1"]])
+def test_verify_refuses_vacuous_bounds(capsys, bounds):
+    code, out, err = run(capsys, "verify", "eigen", *bounds)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and "must be" in err
+
+
 def test_cache_requires_directory(capsys, monkeypatch):
     monkeypatch.delenv(cli.ENV_CACHE_DIR, raising=False)
     code, _, err = run(capsys, "cache", "stats")
