@@ -2,52 +2,71 @@
 
 Two independent engines compute the integral non-symmetric polynomials: a
 memoized creation-operator recursion and an admissible-tableau sum.  The
-symmetric polynomials are obtained by restriction or full symmetrization,
-and a family of verification sweeps checks the defining operator,
-orthogonality, coefficient and positivity identities by exact arithmetic.
+symmetric polynomials are obtained by a tail-symmetric star-chain walk, by
+restriction or by full symmetrization, and a family of verification sweeps
+checks the defining operator, orthogonality, coefficient and positivity
+identities by exact arithmetic.
+
+The public names are imported on first access (PEP 562), so that a command
+line run loads only the modules it uses.
 """
 
-from .alphapoly import AlphaFrac, AlphaPoly, ExactnessError
-from .compositions import (
-    compare,
-    compositions,
-    eigenvalue,
-    lambda_plus,
-    lower_hook,
-    lower_hook_product,
-    Ordering,
-    partitions,
-    sorting_word,
-    upper_hook,
-    upper_hook_product,
-)
-from .mpoly import MPoly, divide_coefficients, divided_transposition, specialize_alpha
-from .recursion import RecursionCache, e_poly, f_poly, phi_k
-from .symmetric import (
-    expand_monomial,
-    expand_partial_sym,
-    gram_schmidt_e,
-    j_poly,
-    j_via_restriction,
-    j_via_symmetrization,
-    p_poly,
-    PositivityViolation,
-    schur_poly,
-)
-from .tableaux import f_comb, hook_weight, is_admissible, is_zero_admissible, j_comb, Tableau, tableaux
-from .cherednik import pairing_context, scalar_product, xi_apply
+import sys
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AlphaFrac", "AlphaPoly", "ExactnessError", "MPoly", "Ordering",
-    "PositivityViolation", "RecursionCache", "Tableau", "compare",
-    "compositions", "divide_coefficients", "divided_transposition", "e_poly",
-    "eigenvalue", "expand_monomial", "expand_partial_sym", "f_comb", "f_poly",
-    "gram_schmidt_e", "hook_weight", "is_admissible", "is_zero_admissible",
-    "j_comb", "j_poly", "j_via_restriction", "j_via_symmetrization",
-    "lambda_plus", "lower_hook", "lower_hook_product", "p_poly",
-    "pairing_context", "partitions", "phi_k", "scalar_product", "schur_poly",
-    "sorting_word", "specialize_alpha", "tableaux", "upper_hook",
-    "upper_hook_product", "xi_apply",
-]
+# public name -> the submodule that defines it
+_EXPORTS = {
+    "AlphaFrac": "alphapoly", "AlphaPoly": "alphapoly", "ExactnessError": "alphapoly",
+    "Ordering": "compositions", "compare": "compositions",
+    "compositions": "compositions", "eigenvalue": "compositions",
+    "lambda_plus": "compositions", "lower_hook": "compositions",
+    "lower_hook_product": "compositions", "partitions": "compositions",
+    "sorting_word": "compositions", "upper_hook": "compositions",
+    "upper_hook_product": "compositions",
+    "MPoly": "mpoly", "divide_coefficients": "mpoly",
+    "divided_transposition": "mpoly", "specialize_alpha": "mpoly",
+    "RecursionCache": "recursion", "e_poly": "recursion", "f_poly": "recursion",
+    "phi_k": "recursion",
+    "PositivityViolation": "symmetric", "expand_monomial": "symmetric",
+    "expand_partial_sym": "symmetric", "gram_schmidt_e": "symmetric",
+    "j_poly": "symmetric", "j_via_restriction": "symmetric",
+    "j_via_symmetrization": "symmetric", "p_poly": "symmetric",
+    "schur_poly": "symmetric",
+    "Tableau": "tableaux", "f_comb": "tableaux", "hook_weight": "tableaux",
+    "is_admissible": "tableaux", "is_zero_admissible": "tableaux",
+    "j_comb": "tableaux", "tableaux": "tableaux",
+    "pairing_context": "cherednik", "scalar_product": "cherednik",
+    "xi_apply": "cherednik",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_EXPORTS))
+
+
+class _Package(type(sys)):
+    """Keeps public names that share a submodule's name (``compositions``,
+    ``tableaux``) bound to the function: importing the submodule would
+    otherwise rebind the package attribute to the module."""
+
+    def __setattr__(self, name, value):
+        if _EXPORTS.get(name) == name and value is sys.modules.get(f"{__name__}.{name}"):
+            value = getattr(value, name)
+        super().__setattr__(name, value)
+
+
+sys.modules[__name__].__class__ = _Package

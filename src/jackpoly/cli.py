@@ -3,7 +3,8 @@ and manage the on-disk recursion cache.
 
 Output is deterministic: fixed term order, sorted JSON keys, no timestamps.
 Exit codes: 0 success, 1 a verification found a counterexample, 2 bad
-usage or malformed input, 3 a cache file was rejected.
+usage or malformed input (including verify bounds that leave no case), 3 a
+cache file or directory could not be read, written or trusted.
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ import os
 import sys
 from pathlib import Path
 
-from . import verify as sweeps
-from .compositions import degree, is_partition, length
+from .alphapoly import AlphaFrac
+from .compositions import degree, is_partition, length, lower_hook_product
 from .recursion import (
     CacheFormatError,
     RecursionCache,
@@ -32,7 +33,6 @@ from .render import (
     poly_latex,
     poly_text,
 )
-from .symmetric import expand_monomial, j_poly, p_poly
 
 DESK_LIMIT = 8
 CACHE_FILE_PATTERN = "recursion-cache-n{n}.json"
@@ -91,27 +91,61 @@ def _cache_dir(args) -> Path | None:
     return Path(raw) if raw else None
 
 
-def _load_dir_into_cache(directory: Path, cache: RecursionCache) -> None:
+def _cache_files(directory: Path) -> list[Path]:
+    """The cache files in a cache directory; none if it does not exist yet."""
+    if not directory.exists():
+        return []
     if not directory.is_dir():
-        return
-    for path in sorted(directory.glob(CACHE_FILE_PATTERN.format(n="*"))):
-        try:
-            doc = json.loads(path.read_text())
-            load_cache_document(doc, cache)
-        except (CacheFormatError, json.JSONDecodeError, OSError) as exc:
-            raise CliError(3, f"cannot load cache file {path}: {exc}")
+        raise CliError(3, f"cache directory {directory} is not a directory")
+    return sorted(directory.glob(CACHE_FILE_PATTERN.format(n="*")))
 
 
-def _save_cache_to_dir(directory: Path, cache: RecursionCache) -> None:
-    directory.mkdir(parents=True, exist_ok=True)
-    for n in cache.variable_counts():
-        doc = cache_document(cache, n)
+def _read_cache_file(path: Path, cache: RecursionCache) -> int:
+    try:
+        return load_cache_document(json.loads(path.read_text(encoding="utf-8")), cache)
+    except (ValueError, OSError) as exc:
+        # ValueError covers CacheFormatError, malformed JSON and text that
+        # is not UTF-8
+        raise CliError(3, f"cannot load cache file {path}: {exc}")
+
+
+def _load_dir_into_cache(directory: Path, cache: RecursionCache) -> None:
+    for path in _cache_files(directory):
+        _read_cache_file(path, cache)
+
+
+def _save_cache_to_dir(directory: Path, cache: RecursionCache, variable_counts) -> None:
+    """Write the cache files of the given variable counts, each atomically:
+    a reader sees the old file or the new one, never a partial write.  The
+    files are written compactly, which lets json use its C encoder."""
+    for n in variable_counts:
         path = directory / CACHE_FILE_PATTERN.format(n=n)
-        path.write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n")
+        tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+        try:
+            directory.mkdir(parents=True, exist_ok=True)
+            tmp.write_text(json.dumps(cache_document(cache, n), sort_keys=True) + "\n",
+                           encoding="utf-8")
+            os.replace(tmp, path)
+        except OSError as exc:
+            tmp.unlink(missing_ok=True)
+            raise CliError(3, f"cannot write cache file {path}: {exc}")
 
 
 def _emit(args, text: str) -> None:
     print(text)
+
+
+def _emit_json(args, doc) -> None:
+    """Print doc as sorted, indented JSON, written in batches of encoder
+    chunks.  With an indent json encodes in pure Python, one small string
+    per token; json.dumps would hold all of them at once, several times the
+    size of the output for a polynomial with thousands of terms."""
+    from itertools import islice
+
+    chunks = json.JSONEncoder(sort_keys=True, indent=1).iterencode(doc)
+    for batch in iter(lambda: "".join(islice(chunks, 4096)), ""):
+        sys.stdout.write(batch)
+    sys.stdout.write("\n")
 
 
 # -- compute -----------------------------------------------------------------
@@ -128,9 +162,11 @@ def _cmd_compute(args) -> int:
     directory = _cache_dir(args)
     if directory is not None:
         _load_dir_into_cache(directory, cache)
+        loaded = cache.entry_counts()
 
     kind = args.kind
     basis = args.basis
+    expansion = None
     if kind in ("J", "P"):
         if basis is None:
             basis = "m"
@@ -138,7 +174,15 @@ def _cmd_compute(args) -> int:
             raise CliError(2, f"--lambda must be a partition for kind {kind}, got {lam}")
         if length(lam) > n:
             raise CliError(2, f"--n must be at least the partition length {length(lam)}")
-        poly = j_poly(lam, n, cache) if kind == "J" else p_poly(lam, n, cache)
+        from . import symmetric
+        if basis == "monomial-of-x":
+            poly = symmetric.j_poly(lam, n) if kind == "J" else symmetric.p_poly(lam, n)
+        else:
+            expansion = symmetric.j_expansion(lam, n)
+            if kind == "P":
+                hooks = lower_hook_product(lam[:length(lam)])
+                expansion = symmetric.MonomialExpansion(
+                    n, {mu: AlphaFrac(c, hooks) for mu, c in expansion.entries.items()})
     else:
         if basis is None:
             basis = "monomial-of-x"
@@ -150,25 +194,24 @@ def _cmd_compute(args) -> int:
         poly = f_poly(padded, cache) if kind == "F" else e_poly(padded, cache)
 
     if directory is not None:
-        _save_cache_to_dir(directory, cache)
+        grown = [v for v, count in cache.entry_counts().items() if count > loaded.get(v, 0)]
+        _save_cache_to_dir(directory, cache, grown)
 
-    if basis == "monomial-of-x":
+    if expansion is None:
         if args.format == "json":
             doc = poly_json(poly)
             doc["polynomial"] = kind
             doc["lambda"] = list(lam)
-            _emit(args, json.dumps(doc, sort_keys=True, indent=1))
+            _emit_json(args, doc)
         elif args.format == "latex":
             _emit(args, poly_latex(poly))
         else:
             _emit(args, poly_text(poly))
         return 0
 
-    expansion = expand_monomial(poly)
     entries = expansion.entries if basis == "m" else expansion.augmented()
     if args.format == "json":
-        _emit(args, json.dumps(expansion_json(lam, basis, entries),
-                               sort_keys=True, indent=1))
+        _emit_json(args, expansion_json(lam, basis, entries))
     elif args.format == "latex":
         _emit(args, expansion_latex(basis, entries))
     else:
@@ -180,6 +223,8 @@ def _cmd_compute(args) -> int:
 
 
 def _run_check(name: str, args, threads: int) -> list:
+    from . import verify as sweeps
+
     n_max = args.n_max
     deg_max = args.deg_max
     ks = _parse_k_list(args.k_list)
@@ -192,9 +237,8 @@ def _run_check(name: str, args, threads: int) -> list:
     if name == "orthogonality":
         return [sweeps.orthogonality(n_max, deg_max, ks)]
     if name == "positivity":
-        cache = RecursionCache()
-        return [sweeps.j_positivity(n_max, deg_max, cache),
-                sweeps.f_positivity(min(n_max, 4), deg_max, cache)]
+        return [sweeps.j_positivity(n_max, deg_max),
+                sweeps.f_positivity(min(n_max, 4), deg_max)]
     if name == "coeff-identities":
         return [sweeps.coeff_identities(deg_max, deg_max)]
     if name == "stability":
@@ -220,9 +264,12 @@ def _cmd_verify(args) -> int:
     _guard_desk_scale(args.force, n_max=args.n_max, deg_max=args.deg_max)
     threads = _thread_count(args)
     verdicts = _run_check(args.check, args, threads)
+    if any(v.cases == 0 for v in verdicts):
+        raise CliError(2, f"{args.check} has no cases at --n-max {args.n_max} "
+                          f"--deg-max {args.deg_max}; widen the bounds")
     if args.format == "json":
         doc = {"kind": "verdict-list", "verdicts": [v.to_json() for v in verdicts]}
-        _emit(args, json.dumps(doc, sort_keys=True, indent=1))
+        _emit_json(args, doc)
     else:
         for v in verdicts:
             line = f"{'PASS' if v.passed else 'FAIL'} {v.check} [{v.theorem}] cases={v.cases}"
@@ -247,19 +294,14 @@ def _cache_stats(directory: Path) -> dict:
     files = []
     total_entries = 0
     total_terms = 0
-    if directory.is_dir():
-        for path in sorted(directory.glob(CACHE_FILE_PATTERN.format(n="*"))):
-            cache = RecursionCache()
-            try:
-                doc = json.loads(path.read_text())
-                n = load_cache_document(doc, cache)
-            except (CacheFormatError, json.JSONDecodeError) as exc:
-                raise CliError(3, f"cannot read cache file {path}: {exc}")
-            entries = len(cache)
-            terms = cache.total_terms()
-            files.append({"n": n, "entries": entries, "terms": terms})
-            total_entries += entries
-            total_terms += terms
+    for path in _cache_files(directory):
+        cache = RecursionCache()
+        n = _read_cache_file(path, cache)
+        entries = len(cache)
+        terms = cache.total_terms()
+        files.append({"n": n, "entries": entries, "terms": terms})
+        total_entries += entries
+        total_terms += terms
     return {"kind": "cache-stats", "files": files,
             "entries": total_entries, "terms": total_terms}
 
@@ -270,7 +312,7 @@ def _cmd_cache(args) -> int:
     if action == "stats":
         doc = _cache_stats(directory)
         if args.format == "json":
-            _emit(args, json.dumps(doc, sort_keys=True, indent=1))
+            _emit_json(args, doc)
         else:
             for item in doc["files"]:
                 _emit(args, f"n={item['n']} entries={item['entries']} terms={item['terms']}")
@@ -278,10 +320,12 @@ def _cmd_cache(args) -> int:
         return 0
     if action == "clear":
         removed = 0
-        if directory.is_dir():
-            for path in sorted(directory.glob(CACHE_FILE_PATTERN.format(n="*"))):
+        for path in _cache_files(directory):
+            try:
                 path.unlink()
-                removed += 1
+            except OSError as exc:
+                raise CliError(3, f"cannot remove cache file {path}: {exc}")
+            removed += 1
         _emit(args, f"removed {removed} cache file(s)")
         return 0
     if action == "export":
@@ -300,8 +344,11 @@ def _cmd_cache(args) -> int:
             n = counts[0]
         else:
             raise CliError(2, f"cache holds several variable counts {counts}; pass --n")
-        Path(args.path).write_text(
-            json.dumps(cache_document(cache, n), sort_keys=True, indent=1) + "\n")
+        try:
+            Path(args.path).write_text(
+                json.dumps(cache_document(cache, n), sort_keys=True, indent=1) + "\n")
+        except OSError as exc:
+            raise CliError(3, f"cannot write {args.path}: {exc}")
         _emit(args, f"exported n={n} to {args.path}")
         return 0
     if action == "import":
@@ -310,14 +357,14 @@ def _cmd_cache(args) -> int:
         cache = RecursionCache()
         _load_dir_into_cache(directory, cache)
         try:
-            doc = json.loads(Path(args.path).read_text())
-        except (json.JSONDecodeError, OSError) as exc:
+            doc = json.loads(Path(args.path).read_text(encoding="utf-8"))
+        except (ValueError, OSError) as exc:
             raise CliError(3, f"cannot read {args.path}: {exc}")
         try:
             n = load_cache_document(doc, cache)
         except CacheFormatError as exc:
             raise CliError(3, str(exc))
-        _save_cache_to_dir(directory, cache)
+        _save_cache_to_dir(directory, cache, cache.variable_counts())
         _emit(args, f"imported n={n} from {args.path}")
         return 0
     raise CliError(2, f"unknown cache action {action!r}")

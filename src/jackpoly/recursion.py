@@ -61,8 +61,15 @@ class RecursionCache:
             return len(self._data)
 
     def variable_counts(self) -> list[int]:
+        return sorted(self.entry_counts())
+
+    def entry_counts(self) -> dict[int, int]:
+        """The number of entries per variable count."""
+        counts: dict[int, int] = {}
         with self._lock:
-            return sorted({n for n, _ in self._data})
+            for n, _ in self._data:
+                counts[n] = counts.get(n, 0) + 1
+        return counts
 
     def entries(self, n: int) -> list[tuple[Composition, MPoly]]:
         with self._lock:
@@ -233,6 +240,73 @@ def _apply_raising(lam: Composition, f: MPoly, packing: _Packing) -> MPoly:
         acc[exp] = c
     out = MPoly(n)
     out.terms = acc
+    return out
+
+
+def j_monomial_coefficients(lam: Composition, n: int) -> dict[Composition, AlphaPoly]:
+    """Coefficients of the integral symmetric polynomial of the partition lam
+    (no trailing zeros, len(lam) <= n) over the monomial symmetric functions
+    in n variables, keyed by partitions without trailing zeros in
+    lexicographically descending order.
+
+    The restriction route reads them off F of (lam, 0^n) at the exponents
+    (0^m | mu).  Every shape on the star chain of (lam, 0^n) is zero past
+    position m = len(lam), so every F on the chain is symmetric in its last
+    n variables, and this walk stores only the exponents whose tail is
+    sorted in descending order.  A step on a shape of length L maps a stored
+    exponent e, with head h = e[:m] and tail t, to:
+
+    * Phi_k e for k = L..m, weighted by the raising scalar when k = L; the
+      tail does not move;
+    * for each distinct tail value u, the exponent with head (h_2, ..., h_m, u)
+      and tail sorted(t - {u} + {h_1 + 1}).  This gathers the Phi_k images,
+      k > m, of every rearrangement of t that lands on a sorted tail, so it
+      is weighted by the multiplicity of h_1 + 1 in the new tail.
+
+    The coefficients are packed as in f_poly, at the width _digit_bound
+    proves for the full F.
+    """
+    m = len(lam)
+    if m == 0:
+        return {(): AlphaPoly.ONE}
+    pending = []
+    shape = lam + (0,) * n
+    while length(shape):
+        pending.append(shape)
+        shape = star_shape(shape)
+    bits = _digit_bound(MPoly.one(n + m, AlphaPoly.ONE), pending).bit_length()
+    f: dict[tuple[int, ...], int] = {(0,) * (n + m): 1}
+    while pending:
+        shape = pending.pop()
+        low = length(shape)
+        scal = _pack(raising_scalar(shape), bits)
+        acc: dict[tuple[int, ...], int] = {}
+        get = acc.get
+        for e, p in f.items():
+            exp = e[1:low] + (e[0] + 1,) + e[low:]
+            acc[exp] = get(exp, 0) + p * scal
+            for k in range(low + 1, m + 1):
+                exp = e[1:k] + (e[0] + 1,) + e[k:]
+                acc[exp] = get(exp, 0) + p
+            head = e[1:m]
+            tail = e[m:]
+            raised = e[0] + 1
+            for i, u in enumerate(tail):
+                if i and u == tail[i - 1]:
+                    continue
+                rest = tail[:i] + tail[i + 1:]
+                exp = head + (u,) + tuple(sorted(rest + (raised,), reverse=True))
+                acc[exp] = get(exp, 0) + p * (rest.count(raised) + 1)
+        f = acc
+    zero_head = (0,) * m
+    polys: dict[int, AlphaPoly] = {}
+    out = {}
+    for e in sorted((e for e in f if e[:m] == zero_head), reverse=True):
+        p = f[e]
+        c = polys.get(p)
+        if c is None:
+            c = polys[p] = _unpack(p, bits)
+        out[tuple(x for x in e[m:] if x)] = c
     return out
 
 

@@ -25,11 +25,18 @@ def coef_json(c):
 
 
 def poly_json(f: MPoly) -> dict:
-    return {
-        "kind": "polynomial",
-        "n": f.n,
-        "terms": [{"exp": list(e), "coef": coef_json(c)} for e, c in f.sorted_terms()],
-    }
+    """JSON document of a polynomial.  Exponents stay tuples (json writes
+    them as lists), and equal coefficients share one JSON value: a
+    symmetric polynomial repeats each coefficient over a whole orbit."""
+    coefs = {}
+    terms = []
+    for e, c in f.sorted_terms():
+        key = (type(c), c)
+        value = coefs.get(key)
+        if value is None:
+            value = coefs[key] = coef_json(c)
+        terms.append({"exp": e, "coef": value})
+    return {"kind": "polynomial", "n": f.n, "terms": terms}
 
 
 def _coef_text(c, symbol: str, power_op: str) -> tuple[str, bool]:

@@ -1,10 +1,12 @@
-"""Symmetric polynomials: two routes from the non-symmetric engine,
+"""Symmetric polynomials: routes from the non-symmetric engine,
 monomial-basis expansions, and independent desk oracles.
 
-The production route pads a partition with zeros, computes the integral
-non-symmetric polynomial, kills the first block of variables and reindexes.
-The symmetrization route averages the full group orbit of an iterated
-cycling image; it is exponential in n and guarded accordingly.
+The production route is the tail-symmetric star-chain walk of the recursion
+module, which yields the monomial expansion directly.  The restriction route
+pads a partition with zeros, computes the whole integral non-symmetric
+polynomial, kills the first block of variables and reindexes; it is kept as
+an oracle.  The symmetrization route averages the full group orbit of an
+iterated cycling image; it is exponential in n and guarded accordingly.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 from typing import Sequence
 
 from .alphapoly import AlphaFrac, AlphaPoly, ExactnessError
@@ -29,7 +31,7 @@ from .compositions import (
     zero_shape,
 )
 from .mpoly import MPoly, divide_coefficients
-from .recursion import RecursionCache, f_poly, phi_k
+from .recursion import RecursionCache, f_poly, j_monomial_coefficients, phi_k
 from . import permutations as perm
 
 
@@ -62,15 +64,23 @@ def j_via_restriction(lam: Sequence[int], n: int,
     return out
 
 
-def j_poly(lam: Sequence[int], n: int, cache: RecursionCache | None = None) -> MPoly:
-    """Integral symmetric polynomial of a partition in n variables."""
+def j_expansion(lam: Sequence[int], n: int) -> MonomialExpansion:
+    """Monomial symmetric expansion of the integral symmetric polynomial of a
+    partition in n variables, from the tail-symmetric star-chain walk."""
     lam = tuple(lam)
     if not is_partition(lam):
         raise ValueError(f"{lam} is not a partition")
     lam = lam[:length(lam)]
     if len(lam) > n:
         raise ValueError(f"partition {lam} needs at least {len(lam)} variables")
-    return j_via_restriction(lam, n + len(lam), cache)
+    return MonomialExpansion(n, j_monomial_coefficients(lam, n))
+
+
+def j_poly(lam: Sequence[int], n: int, cache: RecursionCache | None = None) -> MPoly:
+    """Integral symmetric polynomial of a partition in n variables, rebuilt
+    from j_expansion.  The cache is accepted for compatibility but not
+    consulted: the walk builds no n + len(lam) variable F to memoize."""
+    return j_expansion(lam, n).reconstruct()
 
 
 def j_via_symmetrization(lam: Sequence[int], n: int,
@@ -103,9 +113,10 @@ def j_via_symmetrization(lam: Sequence[int], n: int,
 
 def p_poly(lam: Sequence[int], n: int, cache: RecursionCache | None = None) -> MPoly:
     """Monic symmetric polynomial: the integral one divided by the product of
-    lower hooks.  Leading monomial coefficient is exactly 1."""
+    lower hooks.  Leading monomial coefficient is exactly 1.  The cache is
+    not consulted (see j_poly)."""
     lam = tuple(lam)[:length(lam)]
-    j = j_poly(lam, n, cache)
+    j = j_poly(lam, n)
     hooks = lower_hook_product(lam)
     p = divide_coefficients(j, hooks)
     lead = p.coefficient(lam + (0,) * (n - len(lam)))
@@ -170,9 +181,13 @@ class MonomialExpansion:
         return out
 
     def reconstruct(self) -> MPoly:
+        """The polynomial: every rearrangement of each mu carries the entry
+        itself, one coefficient object shared by the whole orbit."""
         out = MPoly(self.n)
         for mu, v in self.entries.items():
-            out = out + monomial_symmetric(mu, self.n).scale(v)
+            if v and len(mu) <= self.n:
+                for exp in distinct_permutations(mu + (0,) * (self.n - len(mu))):
+                    out.terms[exp] = v
         return out
 
 
@@ -303,21 +318,35 @@ def elementary_product(parts: Sequence[int], n: int) -> MPoly:
 
 
 def _solve_fraction_system(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
+    """Solve a square system by fraction-free (Bareiss) elimination: each
+    row is scaled to integers, every elimination step divides exactly by the
+    previous pivot, and only the back substitution uses Fraction."""
     size = len(rhs)
-    aug = [row[:] + [rhs[r]] for r, row in enumerate(matrix)]
+    aug = []
+    for r, row in enumerate(matrix):
+        row = [Fraction(x) for x in row] + [Fraction(rhs[r])]
+        scale = lcm(*(x.denominator for x in row))
+        aug.append([x.numerator * (scale // x.denominator) for x in row])
+    prev = 1
     for col in range(size):
         pivot = next((r for r in range(col, size) if aug[r][col]), None)
         if pivot is None:
             raise ArithmeticError("singular pairing system: the scalar product "
                                   "degenerates at this alpha")
         aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(size):
-            if r != col and aug[r][col]:
-                factor = aug[r][col]
-                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
-    return [aug[r][size] for r in range(size)]
+        top = aug[col]
+        p = top[col]
+        for r in range(col + 1, size):
+            row = aug[r]
+            f = row[col]
+            aug[r] = [0] * (col + 1) + [(p * a - f * b) // prev
+                                        for a, b in zip(row[col + 1:], top[col + 1:])]
+        prev = p
+    out = [Fraction(0)] * size
+    for r in range(size - 1, -1, -1):
+        row = aug[r]
+        out[r] = (row[size] - sum(row[j] * out[j] for j in range(r + 1, size))) / Fraction(row[r])
+    return out
 
 
 def gram_schmidt_e(lam: Sequence[int], k: int) -> MPoly:

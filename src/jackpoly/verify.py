@@ -32,10 +32,11 @@ from .recursion import RecursionCache, cyclic_identity, e_poly, f_poly, swap_adj
 from .symmetric import (
     PositivityViolation,
     elementary_product,
-    expand_monomial,
     expand_partial_sym,
     gram_schmidt_e,
+    j_expansion,
     j_poly,
+    j_via_restriction,
     j_via_symmetrization,
     schur_poly,
 )
@@ -141,13 +142,13 @@ def orthogonality(n_max: int, deg_max: int, ks: Sequence[int] = (1, 2),
 def j_positivity(n: int, deg_max: int,
                  cache: RecursionCache | None = None) -> Verdict:
     """Augmented monomial coefficients of the integral symmetric polynomial
-    are polynomials in alpha with non-negative integer coefficients."""
-    cache = cache if cache is not None else RecursionCache()
+    are polynomials in alpha with non-negative integer coefficients.  The
+    cache is accepted for compatibility but not consulted (see j_poly)."""
     cases = 0
     params = {"n": n, "deg_max": deg_max}
     for d in range(deg_max + 1):
         for lam in partitions(d, max_len=n):
-            expansion = expand_monomial(j_poly(lam, n, cache))
+            expansion = j_expansion(lam, n)
             try:
                 augmented = expansion.augmented()
             except PositivityViolation as exc:
@@ -253,7 +254,8 @@ def stability_symmetry(n_max: int, deg_max: int,
 def sym_routes(n_max: int, deg_max: int,
                cache: RecursionCache | None = None) -> Verdict:
     """Restriction, full symmetrization and the tableau sum agree on the
-    integral symmetric polynomial."""
+    integral symmetric polynomial; so does the production star-chain walk,
+    checked within the same case."""
     cache = cache if cache is not None else RecursionCache()
     cases = 0
     params = {"n_max": n_max, "deg_max": deg_max}
@@ -263,10 +265,14 @@ def sym_routes(n_max: int, deg_max: int,
             for n in range(max(m, 1), n_max + 1):
                 cases += 1
                 reference = j_comb(lam, n)
-                if j_poly(lam, n, cache) != reference:
+                if j_via_restriction(lam, n + m, cache) != reference:
                     return Verdict("sym-routes", "symmetrization-routes",
                                    params, False, cases,
                                    {"lambda": list(lam), "n": n, "route": "restriction"})
+                if j_poly(lam, n) != reference:
+                    return Verdict("sym-routes", "symmetrization-routes",
+                                   params, False, cases,
+                                   {"lambda": list(lam), "n": n, "route": "walk"})
                 if j_via_symmetrization(lam, n, cache) != reference:
                     return Verdict("sym-routes", "symmetrization-routes",
                                    params, False, cases,

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -65,6 +69,16 @@ def test_compute_expansion_json(capsys):
     assert doc["basis"] == "m-tilde"
     assert doc["lambda"] == [2, 1]
     assert {"mu": [1, 1, 1], "coef": ["1"]} in doc["entries"]
+
+
+def test_compute_json_streamed_in_batches_matches_dumps(capsys):
+    # 246 terms: the encoder yields several batches of chunks
+    code, out, _ = run(capsys, "compute", "J", "--lambda", "4,1", "--n", "6",
+                       "--basis", "monomial-of-x", "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    assert len(doc["terms"]) == 246
+    assert out == json.dumps(doc, sort_keys=True, indent=1) + "\n"
 
 
 def test_compute_e_json_fraction_coefs(capsys):
@@ -150,7 +164,7 @@ def test_verify_json(capsys):
 def test_verify_failure_exits_1(capsys, monkeypatch):
     failing = Verdict("cyclic", "cyclic-creation-identity", {}, False, 3,
                       {"lambda": [1, 1]})
-    monkeypatch.setattr(cli.sweeps, "cyclic_consistency",
+    monkeypatch.setattr("jackpoly.verify.cyclic_consistency",
                         lambda *a, **k: failing)
     code, out, _ = run(capsys, "verify", "cyclic")
     assert code == 1
@@ -258,6 +272,112 @@ def test_verify_refuses_vacuous_bounds(capsys, bounds):
     assert code == 2
     assert out == ""
     assert err.count("\n") == 1 and "must be" in err
+
+
+@pytest.mark.parametrize("argv", [["hecke", "--n-max", "1", "--deg-max", "2"],
+                                  ["swap", "--n-max", "1", "--deg-max", "2"],
+                                  ["stability", "--n-max", "1", "--deg-max", "2"],
+                                  ["coeff-identities", "--deg-max", "0"]],
+                         ids=["hecke", "swap", "stability", "coeff-identities"])
+def test_verify_refuses_zero_cases(capsys, argv):
+    code, out, err = run(capsys, "verify", *argv)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and "no cases" in err
+
+
+def test_compute_rewrites_only_files_that_gained_entries(tmp_path, capsys):
+    cache_dir = tmp_path / "cache"
+    run(capsys, "compute", "F", "--lambda", "1,0", "--n", "2", "--cache-dir", str(cache_dir))
+    n2 = cache_dir / "recursion-cache-n2.json"
+    os.utime(n2, ns=(10**9, 10**9))
+    code, out, _ = run(capsys, "compute", "E", "--lambda", "1,1,0", "--n", "3",
+                       "--cache-dir", str(cache_dir))
+    assert code == 0
+    assert n2.stat().st_mtime_ns == 10**9
+    n3 = cache_dir / "recursion-cache-n3.json"
+    os.utime(n3, ns=(10**9, 10**9))
+    # a warm request adds nothing, so it writes nothing
+    code, warm, _ = run(capsys, "compute", "F", "--lambda", "1,1,0", "--n", "3",
+                        "--cache-dir", str(cache_dir))
+    assert code == 0 and warm
+    assert n3.stat().st_mtime_ns == 10**9
+    assert sorted(p.name for p in cache_dir.iterdir()) == [n2.name, n3.name]
+
+
+def test_symmetric_kinds_write_no_cache_files(tmp_path, capsys):
+    cache_dir = tmp_path / "cache"
+    for kind in ("J", "P"):
+        for basis in ("m", "monomial-of-x"):
+            code, _, _ = run(capsys, "compute", kind, "--lambda", "2,1", "--n", "3",
+                             "--basis", basis, "--cache-dir", str(cache_dir))
+            assert code == 0
+    code, out, _ = run(capsys, "cache", "stats", "--cache-dir", str(cache_dir))
+    assert code == 0 and out == "total entries=0 terms=0\n"
+
+
+def test_cache_dir_that_is_a_file_exits_3(tmp_path, capsys):
+    not_a_dir = tmp_path / "cache"
+    not_a_dir.write_text("x")
+    for argv in (["compute", "F", "--lambda", "1,0", "--n", "2"], ["cache", "stats"]):
+        code, out, err = run(capsys, *argv, "--cache-dir", str(not_a_dir))
+        assert code == 3
+        assert out == ""
+        assert err.count("\n") == 1 and "not a directory" in err
+
+
+def test_cache_stats_on_a_directory_named_like_a_cache_file_exits_3(tmp_path, capsys):
+    (tmp_path / "recursion-cache-n3.json").mkdir()
+    code, out, err = run(capsys, "cache", "stats", "--cache-dir", str(tmp_path))
+    assert code == 3
+    assert out == ""
+    assert err.count("\n") == 1 and "cannot load cache file" in err
+
+
+def test_non_utf8_cache_file_exits_3(tmp_path, capsys):
+    (tmp_path / "recursion-cache-n2.json").write_bytes(b'{"version": 1, "n": 2, "\xff": []}')
+    for argv in (["compute", "F", "--lambda", "1,0", "--n", "2"], ["cache", "stats"]):
+        code, out, err = run(capsys, *argv, "--cache-dir", str(tmp_path))
+        assert code == 3
+        assert out == ""
+        assert err.count("\n") == 1 and "cannot load cache file" in err
+
+
+def test_cache_export_into_missing_directory_exits_3(tmp_path, capsys):
+    cache_dir = tmp_path / "cache"
+    run(capsys, "compute", "F", "--lambda", "1,0", "--n", "2", "--cache-dir", str(cache_dir))
+    code, out, err = run(capsys, "cache", "export", "--cache-dir", str(cache_dir),
+                         "--path", str(tmp_path / "missing" / "dump.json"))
+    assert code == 3
+    assert out == ""
+    assert err.count("\n") == 1 and "cannot write" in err
+
+
+def test_compute_f_imports_no_sweep_modules():
+    src = Path(__file__).resolve().parent.parent / "src"
+    script = (
+        "import sys\n"
+        "import jackpoly.cli\n"
+        "assert jackpoly.cli.main(['compute', 'F', '--lambda', '2,1,0', '--n', '3']) == 0\n"
+        "print(sorted(m for m in sys.modules if m.startswith('jackpoly.')))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    loaded = proc.stdout.splitlines()[-1]
+    for name in ("jackpoly.verify", "jackpoly.tableaux", "jackpoly.cherednik"):
+        assert repr(name) not in loaded
+
+
+def test_star_import_exposes_every_public_name():
+    namespace = {}
+    exec("import jackpoly.verify\nfrom jackpoly import *", namespace)
+    import jackpoly
+    for name in jackpoly.__all__:
+        assert name in namespace, name
+    # public functions that share a submodule's name stay functions
+    assert callable(namespace["tableaux"]) and callable(namespace["compositions"])
 
 
 def test_cache_requires_directory(capsys, monkeypatch):

@@ -1,10 +1,12 @@
 """Differential tests: the integer kernels against the code they replaced.
 
 Each reference below is a verbatim copy of the earlier implementation:
-long division over Fraction, the raising step over AlphaPoly objects, and
-the orbit-subtracting monomial expansion.  The default run covers n <= 6 and
-degree <= 6; the ``slow`` group (``pytest -m slow``) widens the same
-comparisons.
+long division over Fraction, the raising step over AlphaPoly objects, the
+orbit-subtracting monomial expansion and the Fraction Gauss-Jordan solve.
+The tail-symmetric walk is compared with the restriction route, which the
+package keeps as an oracle.  The default run covers n <= 6 and degree <= 6
+(n <= 7 for the walk); the ``slow`` group (``pytest -m slow``) widens the
+same comparisons.
 """
 
 import json
@@ -30,7 +32,15 @@ from jackpoly.recursion import (
     f_poly,
     load_cache_document,
 )
-from jackpoly.symmetric import expand_monomial, j_poly, monomial_symmetric, p_poly
+from jackpoly.symmetric import (
+    _solve_fraction_system,
+    expand_monomial,
+    j_expansion,
+    j_poly,
+    j_via_restriction,
+    monomial_symmetric,
+    p_poly,
+)
 
 
 # -- the replaced implementations -----------------------------------------------
@@ -114,6 +124,24 @@ def orbit_expand_monomial(f: MPoly) -> dict:
         entries[key] = v
         remaining = remaining - monomial_symmetric(key, f.n).scale(v)
     return entries
+
+
+def gauss_jordan_solve(matrix, rhs):
+    size = len(rhs)
+    aug = [row[:] + [rhs[r]] for r, row in enumerate(matrix)]
+    for col in range(size):
+        pivot = next((r for r in range(col, size) if aug[r][col]), None)
+        if pivot is None:
+            raise ArithmeticError("singular pairing system: the scalar product "
+                                  "degenerates at this alpha")
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        inv = 1 / aug[col][col]
+        aug[col] = [x * inv for x in aug[col]]
+        for r in range(size):
+            if r != col and aug[r][col]:
+                factor = aug[r][col]
+                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
+    return [aug[r][size] for r in range(size)]
 
 
 # -- exact division ---------------------------------------------------------------
@@ -248,3 +276,71 @@ def test_read_off_expansion_rejects_non_symmetric_input():
     g = monomial_symmetric((2, 1), 3) + MPoly(3, {(0, 1, 2): 1})
     with pytest.raises(ValueError):
         expand_monomial(g)
+
+
+# -- tail-symmetric walk ---------------------------------------------------------------
+
+
+def _check_walk(deg_max: int, n_max: int) -> None:
+    cache = RecursionCache()
+    for d in range(deg_max + 1):
+        for lam in partitions(d):
+            for n in range(max(len(lam), 1), n_max + 1):
+                restricted = j_via_restriction(lam, n + len(lam), cache)
+                want = expand_monomial(restricted)
+                got = j_expansion(lam, n)
+                assert got == want, (lam, n)
+                assert list(got.entries) == list(want.entries), (lam, n)
+                assert j_poly(lam, n) == restricted, (lam, n)
+
+
+def test_walk_matches_restriction():
+    _check_walk(6, 7)
+
+
+@pytest.mark.slow
+def test_walk_matches_restriction_wide():
+    _check_walk(8, 8)
+
+
+def test_walk_edge_cases():
+    assert j_poly((), 3) == MPoly.one(3, AlphaPoly.ONE)
+    assert j_expansion((), 1).entries == {(): AlphaPoly.ONE}
+    assert j_expansion((2, 1, 0), 3) == j_expansion((2, 1), 3)
+    with pytest.raises(ValueError):
+        j_poly((1, 1, 1), 2)
+    with pytest.raises(ValueError):
+        j_expansion((1, 2), 3)
+
+
+# -- fraction-free solve -----------------------------------------------------------------
+
+fractions = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+
+
+@st.composite
+def square_systems(draw):
+    size = draw(st.integers(1, 5))
+    rows = [draw(st.lists(fractions, min_size=size, max_size=size)) for _ in range(size)]
+    if size > 1 and draw(st.booleans()):
+        # a multiple of another row makes the system singular
+        c = draw(fractions)
+        rows[-1] = [c * a for a in rows[0]]
+    rhs = draw(st.lists(fractions, min_size=size, max_size=size))
+    return rows, rhs
+
+
+def _solve_outcome(fn, matrix, rhs):
+    try:
+        return fn([row[:] for row in matrix], rhs[:])
+    except ArithmeticError:
+        return ArithmeticError
+
+
+@settings(max_examples=300, deadline=None)
+@given(square_systems())
+def test_fraction_free_solve_matches_gauss_jordan(system):
+    matrix, rhs = system
+    want = _solve_outcome(gauss_jordan_solve, matrix, rhs)
+    got = _solve_outcome(_solve_fraction_system, matrix, rhs)
+    assert got == want
