@@ -333,11 +333,6 @@ class AlphaFrac:
     def is_polynomial(self) -> bool:
         return self.den == AlphaPoly.ONE
 
-    def as_poly(self) -> AlphaPoly:
-        if not self.is_polynomial():
-            raise ExactnessError(f"{self} is not a polynomial")
-        return self.num
-
     def __eq__(self, other):
         if isinstance(other, AlphaFrac):
             return self.num == other.num and self.den == other.den

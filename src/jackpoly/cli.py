@@ -25,18 +25,10 @@ from .recursion import (
     f_poly,
     load_cache_document,
 )
-from .render import (
-    expansion_json,
-    expansion_latex,
-    expansion_text,
-    poly_json,
-    poly_latex,
-    poly_text,
-)
+from .render import expansion_json, format_expansion, format_poly, poly_json
 
 DESK_LIMIT = 8
 CACHE_FILE_PATTERN = "recursion-cache-n{n}.json"
-ENV_THREADS = "JACKPOLY_THREADS"
 ENV_CACHE_DIR = "JACKPOLY_CACHE_DIR"
 
 
@@ -74,44 +66,42 @@ def _guard_desk_scale(force: bool, **bounds: int) -> None:
                    f"pass --force to override")
 
 
-def _thread_count(args) -> int:
-    if args.threads is not None:
-        return max(1, args.threads)
-    env = os.environ.get(ENV_THREADS)
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise CliError(2, f"{ENV_THREADS} must be an integer, got {env!r}")
-    return 1
-
-
 def _cache_dir(args) -> Path | None:
     raw = args.cache_dir or os.environ.get(ENV_CACHE_DIR)
     return Path(raw) if raw else None
 
 
-def _cache_files(directory: Path) -> list[Path]:
-    """The cache files in a cache directory; none if it does not exist yet."""
+def _cache_files(directory: Path, variable_counts=None) -> list[Path]:
+    """The cache files in a cache directory, or only those of the given
+    variable counts; none if the directory does not exist yet."""
     if not directory.exists():
         return []
     if not directory.is_dir():
         raise CliError(3, f"cache directory {directory} is not a directory")
-    return sorted(directory.glob(CACHE_FILE_PATTERN.format(n="*")))
+    if variable_counts is None:
+        return sorted(directory.glob(CACHE_FILE_PATTERN.format(n="*")))
+    paths = (directory / CACHE_FILE_PATTERN.format(n=n) for n in variable_counts)
+    return [path for path in paths if path.exists()]
 
 
 def _read_cache_file(path: Path, cache: RecursionCache) -> int:
     try:
-        return load_cache_document(json.loads(path.read_text(encoding="utf-8")), cache)
+        n = load_cache_document(json.loads(path.read_text(encoding="utf-8")), cache)
     except (ValueError, OSError) as exc:
         # ValueError covers CacheFormatError, malformed JSON and text that
         # is not UTF-8
         raise CliError(3, f"cannot load cache file {path}: {exc}")
+    if path.name != CACHE_FILE_PATTERN.format(n=n):
+        # a rewrite of this file would keep only the entries of its name's n
+        raise CliError(3, f"cannot load cache file {path}: it holds n={n}")
+    return n
 
 
-def _load_dir_into_cache(directory: Path, cache: RecursionCache) -> None:
-    for path in _cache_files(directory):
-        _read_cache_file(path, cache)
+def _load_dir_into_cache(directory: Path, cache: RecursionCache,
+                         variable_counts=None) -> list[int]:
+    """Load the cache files of a directory, or only those of the given
+    variable counts; return the variable count of each file, in file order."""
+    return [_read_cache_file(path, cache) for path in _cache_files(directory, variable_counts)]
 
 
 def _save_cache_to_dir(directory: Path, cache: RecursionCache, variable_counts) -> None:
@@ -131,11 +121,7 @@ def _save_cache_to_dir(directory: Path, cache: RecursionCache, variable_counts) 
             raise CliError(3, f"cannot write cache file {path}: {exc}")
 
 
-def _emit(args, text: str) -> None:
-    print(text)
-
-
-def _emit_json(args, doc) -> None:
+def _emit_json(doc) -> None:
     """Print doc as sorted, indented JSON, written in batches of encoder
     chunks.  With an indent json encodes in pure Python, one small string
     per token; json.dumps would hold all of them at once, several times the
@@ -158,13 +144,14 @@ def _cmd_compute(args) -> int:
         raise CliError(2, "--n must be a positive integer")
     _guard_desk_scale(args.force, n=n, degree=degree(lam))
 
+    kind = args.kind
     cache = RecursionCache()
     directory = _cache_dir(args)
     if directory is not None:
-        _load_dir_into_cache(directory, cache)
+        # only F and E use the cache, and only the file of their n
+        _load_dir_into_cache(directory, cache, [n] if kind in ("F", "E") else [])
         loaded = cache.entry_counts()
 
-    kind = args.kind
     basis = args.basis
     expansion = None
     if kind in ("J", "P"):
@@ -202,58 +189,59 @@ def _cmd_compute(args) -> int:
             doc = poly_json(poly)
             doc["polynomial"] = kind
             doc["lambda"] = list(lam)
-            _emit_json(args, doc)
-        elif args.format == "latex":
-            _emit(args, poly_latex(poly))
+            _emit_json(doc)
         else:
-            _emit(args, poly_text(poly))
+            print(format_poly(poly, args.format))
         return 0
 
     entries = expansion.entries if basis == "m" else expansion.augmented()
     if args.format == "json":
-        _emit_json(args, expansion_json(lam, basis, entries))
-    elif args.format == "latex":
-        _emit(args, expansion_latex(basis, entries))
+        _emit_json(expansion_json(lam, basis, entries))
     else:
-        _emit(args, expansion_text(basis, entries))
+        print(format_expansion(basis, entries, args.format))
     return 0
 
 
 # -- verify ------------------------------------------------------------------
 
 
-def _run_check(name: str, args, threads: int) -> list:
+def _n_deg(n_max, deg_max, ks):
+    return n_max, deg_max
+
+
+# check name -> the sweeps it runs, each as (function of jackpoly.verify,
+# its arguments from (n_max, deg_max, ks), the largest n_max it runs at)
+CHECKS = {
+    "oracle-equivalence": [("engine_equivalence", _n_deg, None)],
+    "eigen": [("eigenfunctions", _n_deg, None)],
+    "hecke": [("hecke", _n_deg, None)],
+    "orthogonality": [("orthogonality", lambda n, d, ks: (n, d, ks), None)],
+    "positivity": [("j_positivity", _n_deg, None), ("f_positivity", _n_deg, 4)],
+    "coeff-identities": [("coeff_identities", lambda n, d, ks: (d, d), None)],
+    "stability": [("stability_symmetry", _n_deg, None)],
+    "sym-routes": [("sym_routes", _n_deg, 6)],
+    "swap": [("swap_consistency", _n_deg, None)],
+    "cyclic": [("cyclic_consistency", _n_deg, None)],
+    "l2l3": [("l2l3", _n_deg, None)],
+    "specializations": [("specializations", _n_deg, None)],
+}
+CHECK_NAMES = list(CHECKS)
+
+
+def _run_check(name: str, args) -> list:
     from . import verify as sweeps
 
-    n_max = args.n_max
-    deg_max = args.deg_max
     ks = _parse_k_list(args.k_list)
-    if name == "oracle-equivalence":
-        return [sweeps.engine_equivalence(n_max, deg_max, threads=threads)]
-    if name == "eigen":
-        return [sweeps.eigenfunctions(n_max, deg_max)]
-    if name == "hecke":
-        return [sweeps.hecke(n_max, deg_max)]
-    if name == "orthogonality":
-        return [sweeps.orthogonality(n_max, deg_max, ks)]
-    if name == "positivity":
-        return [sweeps.j_positivity(n_max, deg_max),
-                sweeps.f_positivity(min(n_max, 4), deg_max)]
-    if name == "coeff-identities":
-        return [sweeps.coeff_identities(deg_max, deg_max)]
-    if name == "stability":
-        return [sweeps.stability_symmetry(n_max, deg_max)]
-    if name == "sym-routes":
-        return [sweeps.sym_routes(min(n_max, 6), deg_max)]
-    if name == "swap":
-        return [sweeps.swap_consistency(n_max, deg_max)]
-    if name == "cyclic":
-        return [sweeps.cyclic_consistency(n_max, deg_max)]
-    if name == "l2l3":
-        return [sweeps.l2l3(n_max, deg_max)]
-    if name == "specializations":
-        return [sweeps.specializations(n_max, deg_max)]
-    raise CliError(2, f"unknown check {name!r}")
+    verdicts = []
+    for function, arguments, clamp in CHECKS[name]:
+        n_max = args.n_max if clamp is None else min(args.n_max, clamp)
+        # looked up at call time, so that a replaced sweep takes effect
+        verdict = getattr(sweeps, function)(*arguments(n_max, args.deg_max, ks))
+        if n_max < args.n_max:
+            print(f"{name}: {verdict.theorem} verdict clamped to n_max={n_max}",
+                  file=sys.stderr)
+        verdicts.append(verdict)
+    return verdicts
 
 
 def _cmd_verify(args) -> int:
@@ -262,20 +250,19 @@ def _cmd_verify(args) -> int:
     if args.deg_max < 0:
         raise CliError(2, f"--deg-max must be a non-negative integer, got {args.deg_max}")
     _guard_desk_scale(args.force, n_max=args.n_max, deg_max=args.deg_max)
-    threads = _thread_count(args)
-    verdicts = _run_check(args.check, args, threads)
+    verdicts = _run_check(args.check, args)
     if any(v.cases == 0 for v in verdicts):
         raise CliError(2, f"{args.check} has no cases at --n-max {args.n_max} "
                           f"--deg-max {args.deg_max}; widen the bounds")
     if args.format == "json":
         doc = {"kind": "verdict-list", "verdicts": [v.to_json() for v in verdicts]}
-        _emit_json(args, doc)
+        _emit_json(doc)
     else:
         for v in verdicts:
             line = f"{'PASS' if v.passed else 'FAIL'} {v.check} [{v.theorem}] cases={v.cases}"
             if v.counterexample is not None:
                 line += " counterexample=" + json.dumps(v.counterexample, sort_keys=True)
-            _emit(args, line)
+            print(line)
     return 0 if all(v.passed for v in verdicts) else 1
 
 
@@ -291,19 +278,16 @@ def _require_cache_dir(args) -> Path:
 
 
 def _cache_stats(directory: Path) -> dict:
+    cache = RecursionCache()
     files = []
-    total_entries = 0
-    total_terms = 0
-    for path in _cache_files(directory):
-        cache = RecursionCache()
-        n = _read_cache_file(path, cache)
-        entries = len(cache)
-        terms = cache.total_terms()
-        files.append({"n": n, "entries": entries, "terms": terms})
-        total_entries += entries
-        total_terms += terms
+    # every file holds the n of its name, so each n is one file
+    for n in _load_dir_into_cache(directory, cache):
+        entries = cache.entries(n)
+        files.append({"n": n, "entries": len(entries),
+                      "terms": sum(len(f.terms) for _, f in entries)})
     return {"kind": "cache-stats", "files": files,
-            "entries": total_entries, "terms": total_terms}
+            "entries": sum(f["entries"] for f in files),
+            "terms": sum(f["terms"] for f in files)}
 
 
 def _cmd_cache(args) -> int:
@@ -312,11 +296,11 @@ def _cmd_cache(args) -> int:
     if action == "stats":
         doc = _cache_stats(directory)
         if args.format == "json":
-            _emit_json(args, doc)
+            _emit_json(doc)
         else:
             for item in doc["files"]:
-                _emit(args, f"n={item['n']} entries={item['entries']} terms={item['terms']}")
-            _emit(args, f"total entries={doc['entries']} terms={doc['terms']}")
+                print(f"n={item['n']} entries={item['entries']} terms={item['terms']}")
+            print(f"total entries={doc['entries']} terms={doc['terms']}")
         return 0
     if action == "clear":
         removed = 0
@@ -326,7 +310,7 @@ def _cmd_cache(args) -> int:
             except OSError as exc:
                 raise CliError(3, f"cannot remove cache file {path}: {exc}")
             removed += 1
-        _emit(args, f"removed {removed} cache file(s)")
+        print(f"removed {removed} cache file(s)")
         return 0
     if action == "export":
         if not args.path:
@@ -349,7 +333,7 @@ def _cmd_cache(args) -> int:
                 json.dumps(cache_document(cache, n), sort_keys=True, indent=1) + "\n")
         except OSError as exc:
             raise CliError(3, f"cannot write {args.path}: {exc}")
-        _emit(args, f"exported n={n} to {args.path}")
+        print(f"exported n={n} to {args.path}")
         return 0
     if action == "import":
         if not args.path:
@@ -365,7 +349,7 @@ def _cmd_cache(args) -> int:
         except CacheFormatError as exc:
             raise CliError(3, str(exc))
         _save_cache_to_dir(directory, cache, cache.variable_counts())
-        _emit(args, f"imported n={n} from {args.path}")
+        print(f"imported n={n} from {args.path}")
         return 0
     raise CliError(2, f"unknown cache action {action!r}")
 
@@ -373,18 +357,9 @@ def _cmd_cache(args) -> int:
 # -- parser -------------------------------------------------------------------
 
 
-CHECK_NAMES = [
-    "oracle-equivalence", "eigen", "hecke", "orthogonality", "positivity",
-    "coeff-identities", "stability", "sym-routes", "swap", "cyclic", "l2l3",
-    "specializations",
-]
-
-
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=["json", "text", "latex"], default="text")
-    common.add_argument("--threads", type=int, default=None,
-                        help=f"worker threads for tableau sums (or {ENV_THREADS})")
     common.add_argument("--cache-dir", default=None,
                         help=f"directory for recursion cache files (or {ENV_CACHE_DIR})")
     common.add_argument("--force", action="store_true",

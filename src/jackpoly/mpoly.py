@@ -224,12 +224,6 @@ class MPoly:
             result.terms[e[:-1]] = c
         return result
 
-    def invert_variables(self) -> "MPoly":
-        """Substitute every x_i by its reciprocal (Laurent result)."""
-        result = MPoly(self.n)
-        result.terms = {tuple(-x for x in e): c for e, c in self.terms.items()}
-        return result
-
 
 def divided_transposition(i: int, j: int, f: MPoly) -> MPoly:
     """(f - f with x_i, x_j exchanged) / (x_i - x_j), exactly.

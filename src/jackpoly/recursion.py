@@ -13,7 +13,6 @@ product of upper hooks over the diagram.
 from __future__ import annotations
 
 import re
-import threading
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -38,7 +37,7 @@ class CacheFormatError(ValueError):
 
 
 class RecursionCache:
-    """Thread-safe memo of computed F polynomials, keyed by composition.
+    """Memo of computed F polynomials, keyed by composition.
 
     Purely an accelerator: results are identical with a warm, cold or absent
     cache, provided every entry is the true F (entries are trusted).
@@ -46,19 +45,15 @@ class RecursionCache:
 
     def __init__(self):
         self._data: dict[tuple[int, Composition], MPoly] = {}
-        self._lock = threading.Lock()
 
     def get(self, lam: Composition) -> MPoly | None:
-        with self._lock:
-            return self._data.get((len(lam), lam))
+        return self._data.get((len(lam), lam))
 
     def put(self, lam: Composition, poly: MPoly) -> None:
-        with self._lock:
-            self._data.setdefault((len(lam), lam), poly)
+        self._data.setdefault((len(lam), lam), poly)
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._data)
+        return len(self._data)
 
     def variable_counts(self) -> list[int]:
         return sorted(self.entry_counts())
@@ -66,20 +61,14 @@ class RecursionCache:
     def entry_counts(self) -> dict[int, int]:
         """The number of entries per variable count."""
         counts: dict[int, int] = {}
-        with self._lock:
-            for n, _ in self._data:
-                counts[n] = counts.get(n, 0) + 1
+        for n, _ in self._data:
+            counts[n] = counts.get(n, 0) + 1
         return counts
 
     def entries(self, n: int) -> list[tuple[Composition, MPoly]]:
-        with self._lock:
-            items = [(lam, f) for (nn, lam), f in self._data.items() if nn == n]
+        items = [(lam, f) for (nn, lam), f in self._data.items() if nn == n]
         items.sort(key=lambda t: (sum(t[0]), t[0]))
         return items
-
-    def total_terms(self) -> int:
-        with self._lock:
-            return sum(len(f.terms) for f in self._data.values())
 
 
 def cache_document(cache: RecursionCache, n: int) -> dict:

@@ -1,27 +1,48 @@
 """Deterministic text, LaTeX and JSON rendering of polynomials and
 expansion tables.
 
-Terms are always emitted in graded lexicographic descending order, and the
-deformation parameter prints as ``a`` in text and ``\\alpha`` in LaTeX.
+Terms are always emitted in graded lexicographic descending order.  Text
+and LaTeX share one renderer, driven by a row of ``STYLES``; the deformation
+parameter prints as ``a`` in text and ``\\alpha`` in LaTeX.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Callable
 
 from .alphapoly import AlphaFrac, AlphaPoly
 from .mpoly import MPoly
 
 
-def _coerce_coef(c):
-    if isinstance(c, int):
-        return AlphaPoly(c)
-    return c
+@dataclass(frozen=True)
+class Style:
+    alpha: str                        # the deformation parameter
+    frac: Callable[[AlphaFrac], str]  # a coefficient that is not a polynomial
+    var: str                          # variable i, from str.format(i)
+    power: str                        # a power, from str.format(variable, exponent)
+    mono_sep: str                     # between the variables of a monomial
+    poly_join: str                    # coefficient, then monomial
+    expansion_join: str               # coefficient, then basis label
+    bases: dict                       # basis name -> printed name
+    label: str                        # a basis label, from str.format(name, parts)
+
+
+STYLES = {
+    "text": Style(
+        alpha="a", frac=lambda c: f"({c.format('a')})", var="x{}", power="{}^{}",
+        mono_sep="*", poly_join="*", expansion_join=" ",
+        bases={"m": "m", "m-tilde": "mt"}, label="{}[{}]"),
+    "latex": Style(
+        alpha="\\alpha",
+        frac=lambda c: "\\frac{%s}{%s}" % (c.num.format("\\alpha"), c.den.format("\\alpha")),
+        var="x_{{{}}}", power="{}^{{{}}}", mono_sep=" ", poly_join="\\, ",
+        expansion_join="\\, ", bases={"m": "m", "m-tilde": "\\tilde m"}, label="{}_{{{}}}"),
+}
 
 
 def coef_json(c):
-    c = _coerce_coef(c)
-    if isinstance(c, AlphaFrac):
-        return c.to_json()
-    return c.to_json()
+    return (AlphaPoly(c) if isinstance(c, int) else c).to_json()
 
 
 def poly_json(f: MPoly) -> dict:
@@ -39,91 +60,42 @@ def poly_json(f: MPoly) -> dict:
     return {"kind": "polynomial", "n": f.n, "terms": terms}
 
 
-def _coef_text(c, symbol: str, power_op: str) -> tuple[str, bool]:
+def _coef(c, frac: Callable, alpha: str) -> tuple[str, bool]:
     """Return (rendered coefficient, needs parentheses when multiplied)."""
-    c = _coerce_coef(c)
-    if isinstance(c, AlphaFrac):
-        if c.is_polynomial():
-            return _coef_text(c.num, symbol, power_op)
-        text = c.format(symbol, power_op)
-        return f"({text})", False
-    text = c.format(symbol, power_op)
-    terms = sum(1 for x in c.coeffs if x)
-    return text, terms > 1
+    if isinstance(c, int):
+        c = AlphaPoly(c)
+    elif isinstance(c, AlphaFrac):
+        if not c.is_polynomial():
+            return frac(c), False
+        c = c.num
+    return c.format(alpha), sum(1 for x in c.coeffs if x) > 1
 
 
-def _monomial_text(exp, var: str, power_op: str, sep: str) -> str:
-    parts = []
-    for i, e in enumerate(exp, start=1):
-        if e == 0:
-            continue
-        name = f"{var}{i}"
-        parts.append(name if e == 1 else f"{name}{power_op}{e}")
-    return sep.join(parts)
-
-
-def poly_text(f: MPoly) -> str:
+def format_poly(f: MPoly, style: str) -> str:
+    """A polynomial in the "text" or "latex" style."""
     if not f:
         return "0"
+    s = STYLES[style]
+    frac, alpha, sep, join = s.frac, s.alpha, s.mono_sep, s.poly_join
+    # the printed powers of each variable, by exponent
+    powers = [{1: s.var.format(i)} for i in range(1, f.n + 1)]
     chunks = []
     for exp, coef in f.sorted_terms():
-        ctext, parens = _coef_text(coef, "a", "^")
-        mono = _monomial_text(exp, "x", "^", "*")
+        ctext, parens = _coef(coef, frac, alpha)
+        mono = sep.join([row.get(e) or row.setdefault(e, s.power.format(row[1], e))
+                         for row, e in zip(powers, exp) if e])
         negative = ctext.startswith("-")
-        if negative and not parens:
-            ctext = ctext[1:]
         if parens:
             ctext = f"({ctext})"
             negative = False
+        elif negative:
+            ctext = ctext[1:]
         if not mono:
             body = ctext
         elif ctext == "1":
             body = mono
         else:
-            body = f"{ctext}*{mono}"
-        if not chunks:
-            chunks.append(f"-{body}" if negative else body)
-        else:
-            chunks.append(f"- {body}" if negative else f"+ {body}")
-    return " ".join(chunks)
-
-
-def _latex_alpha_poly(c: AlphaPoly) -> str:
-    return c.format("\\alpha", "^")
-
-
-def _coef_latex(c) -> tuple[str, bool]:
-    c = _coerce_coef(c)
-    if isinstance(c, AlphaFrac):
-        if c.is_polynomial():
-            return _coef_latex(c.num)
-        return (f"\\frac{{{_latex_alpha_poly(c.num)}}}{{{_latex_alpha_poly(c.den)}}}", False)
-    text = _latex_alpha_poly(c)
-    return text, sum(1 for x in c.coeffs if x) > 1
-
-
-def poly_latex(f: MPoly) -> str:
-    if not f:
-        return "0"
-    chunks = []
-    for exp, coef in f.sorted_terms():
-        ctext, parens = _coef_latex(coef)
-        mono = " ".join(
-            (f"x_{{{i}}}" if e == 1 else f"x_{{{i}}}^{{{e}}}")
-            for i, e in enumerate(exp, start=1) if e
-        )
-        negative = ctext.startswith("-")
-        if negative and not parens:
-            ctext = ctext[1:]
-        if parens:
-            ctext = f"({ctext})"
-            negative = False
-        if not mono:
-            body = ctext
-        elif ctext == "1":
-            body = mono
-        else:
-            body = f"{ctext}\\, {mono}"
+            body = f"{ctext}{join}{mono}"
         if not chunks:
             chunks.append(f"-{body}" if negative else body)
         else:
@@ -144,29 +116,18 @@ def expansion_json(lam, basis: str, entries: dict) -> dict:
     }
 
 
-def expansion_text(basis: str, entries: dict) -> str:
+def format_expansion(basis: str, entries: dict, style: str) -> str:
+    """A basis expansion in the "text" or "latex" style."""
     if not entries:
         return "0"
-    name = {"m": "m", "m-tilde": "mt"}.get(basis, basis)
+    s = STYLES[style]
+    frac, alpha, join, label = s.frac, s.alpha, s.expansion_join, s.label
+    name = s.bases.get(basis, basis)
     chunks = []
     for mu, coef in _expansion_rows(entries):
-        ctext, parens = _coef_text(coef, "a", "^")
+        ctext, parens = _coef(coef, frac, alpha)
         if parens:
             ctext = f"({ctext})"
-        label = f"{name}[{','.join(str(x) for x in mu)}]"
-        chunks.append(label if ctext == "1" else f"{ctext} {label}")
-    return " + ".join(chunks)
-
-
-def expansion_latex(basis: str, entries: dict) -> str:
-    if not entries:
-        return "0"
-    name = {"m": "m", "m-tilde": "\\tilde m"}.get(basis, basis)
-    chunks = []
-    for mu, coef in _expansion_rows(entries):
-        ctext, parens = _coef_latex(coef)
-        if parens:
-            ctext = f"({ctext})"
-        label = f"{name}_{{{','.join(str(x) for x in mu)}}}"
-        chunks.append(label if ctext == "1" else f"{ctext}\\, {label}")
+        text = label.format(name, ",".join(map(str, mu)))
+        chunks.append(text if ctext == "1" else f"{ctext}{join}{text}")
     return " + ".join(chunks)

@@ -10,7 +10,6 @@ the critical boxes reproduces the polynomials of the recursion engine.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -122,13 +121,11 @@ def _column_major_order(shape: Sequence[int]) -> list[tuple[int, int]]:
             for i in range(len(shape)) if shape[i] >= j]
 
 
-def tableaux(shape: Sequence[int], n: int, zero_variant: bool = False,
-             first_label: int | None = None) -> Iterator[Tableau]:
+def tableaux(shape: Sequence[int], n: int, zero_variant: bool = False) -> Iterator[Tableau]:
     """Stream the admissible (or 0-admissible) tableaux of a shape.
 
     Boxes are filled column by column so that every rule prunes as soon as a
-    label is placed.  ``first_label`` restricts the label of the first box in
-    fill order, which partitions the enumeration for parallel summation.
+    label is placed.
     """
     shape = tuple(shape)
     order = _column_major_order(shape)
@@ -164,8 +161,6 @@ def tableaux(shape: Sequence[int], n: int, zero_variant: bool = False,
         i, j = order[idx]
         lo = i if (zero_variant and j == 1) else 1
         for v in range(lo, n + 1):
-            if first_label is not None and idx == 0 and v != first_label:
-                continue
             if any(chosen[k] == v for k in conflicts[idx]):
                 continue
             chosen[idx] = v
@@ -176,10 +171,9 @@ def tableaux(shape: Sequence[int], n: int, zero_variant: bool = False,
     yield from rec(0)
 
 
-def _tableau_sum(shape: Composition, n: int, zero_variant: bool,
-                 first_label: int | None) -> MPoly:
+def _tableau_sum(shape: Composition, n: int, zero_variant: bool) -> MPoly:
     acc: dict[tuple[int, ...], AlphaPoly] = {}
-    for tab in tableaux(shape, n, zero_variant, first_label):
+    for tab in tableaux(shape, n, zero_variant):
         exp = tab.weight()
         c = hook_weight(tab, zero_variant)
         prev = acc.get(exp)
@@ -193,37 +187,19 @@ def _tableau_sum(shape: Composition, n: int, zero_variant: bool,
     return out
 
 
-def _parallel_tableau_sum(shape: Composition, n: int, zero_variant: bool,
-                          threads: int) -> MPoly:
-    if not _column_major_order(shape):
-        return _tableau_sum(shape, n, zero_variant, None)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        parts = list(pool.map(
-            lambda v: _tableau_sum(shape, n, zero_variant, v), range(1, n + 1)))
-    out = MPoly(n)
-    for part in parts:
-        out = out + part
-    return out
-
-
-def f_comb(lam: Sequence[int], threads: int = 1) -> MPoly:
+def f_comb(lam: Sequence[int]) -> MPoly:
     """The integral non-symmetric polynomial as a 0-admissible tableau sum."""
     shape = tuple(lam)
-    n = len(shape)
-    if threads > 1:
-        return _parallel_tableau_sum(shape, n, True, threads)
-    return _tableau_sum(shape, n, True, None)
+    return _tableau_sum(shape, len(shape), True)
 
 
-def j_comb(lam: Sequence[int], n: int, threads: int = 1) -> MPoly:
+def j_comb(lam: Sequence[int], n: int) -> MPoly:
     """The integral symmetric polynomial of a partition as an admissible
     tableau sum in n variables."""
     shape = tuple(lam)
     if not is_partition(shape):
         raise ValueError(f"{shape} is not a partition")
-    if threads > 1:
-        return _parallel_tableau_sum(shape, n, False, threads)
-    return _tableau_sum(shape, n, False, None)
+    return _tableau_sum(shape, n, False)
 
 
 @dataclass(frozen=True)

@@ -64,15 +64,14 @@ class Verdict:
 
 
 def engine_equivalence(n_max: int, deg_max: int,
-                       cache: RecursionCache | None = None,
-                       threads: int = 1) -> Verdict:
+                       cache: RecursionCache | None = None) -> Verdict:
     """The recursion and the tableau sum produce identical polynomials."""
     cache = cache if cache is not None else RecursionCache()
     cases = 0
     for n in range(1, n_max + 1):
         for lam in compositions_up_to(n, deg_max):
             cases += 1
-            if f_poly(lam, cache) != f_comb(lam, threads=threads):
+            if f_poly(lam, cache) != f_comb(lam):
                 return Verdict("oracle-equivalence", "combinatorial-formula",
                                {"n_max": n_max, "deg_max": deg_max}, False, cases,
                                {"lambda": list(lam)})

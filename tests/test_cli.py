@@ -171,6 +171,30 @@ def test_verify_failure_exits_1(capsys, monkeypatch):
     assert "FAIL" in out and "counterexample" in out
 
 
+def test_threads_flag_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as info:
+        cli.main(["verify", "cyclic", "--threads", "2"])
+    assert info.value.code == 2
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("check,n_max,line", [
+    ("positivity", "5", "positivity: partially-symmetric-positivity verdict clamped to n_max=4\n"),
+    ("sym-routes", "7", "sym-routes: symmetrization-routes verdict clamped to n_max=6\n"),
+], ids=["positivity", "sym-routes"])
+def test_verify_reports_clamp_on_stderr(capsys, check, n_max, line):
+    code, _, err = run(capsys, "verify", check, "--n-max", n_max, "--deg-max", "2")
+    assert code == 0
+    assert err == line
+
+
+@pytest.mark.parametrize("check,n_max", [("positivity", "4"), ("sym-routes", "6")])
+def test_verify_reports_no_clamp_at_or_below_it(capsys, check, n_max):
+    code, _, err = run(capsys, "verify", check, "--n-max", n_max, "--deg-max", "2")
+    assert code == 0
+    assert err == ""
+
+
 def test_verify_guardrail(capsys):
     code, _, err = run(capsys, "verify", "cyclic", "--n-max", "9")
     assert code == 2
@@ -353,21 +377,66 @@ def test_cache_export_into_missing_directory_exits_3(tmp_path, capsys):
     assert err.count("\n") == 1 and "cannot write" in err
 
 
-def test_compute_f_imports_no_sweep_modules():
+def test_file_whose_n_differs_from_its_name_exits_3(tmp_path, capsys):
+    cache_dir = tmp_path / "cache"
+    run(capsys, "compute", "F", "--lambda", "1,1,0", "--n", "3", "--cache-dir", str(cache_dir))
+    # the n=3 document under the name of n=2
+    data = (cache_dir / "recursion-cache-n3.json").read_bytes()
+    (cache_dir / "recursion-cache-n3.json").rename(cache_dir / "recursion-cache-n2.json")
+    for argv in (["compute", "F", "--lambda", "1,0", "--n", "2"], ["cache", "stats"]):
+        code, out, err = run(capsys, *argv, "--cache-dir", str(cache_dir))
+        assert code == 3
+        assert out == ""
+        assert err.count("\n") == 1 and "holds n=3" in err
+    # the n=3 entries were not overwritten by a rewrite under the n=2 name
+    assert (cache_dir / "recursion-cache-n2.json").read_bytes() == data
+
+
+def test_compute_reads_only_the_file_of_its_n(tmp_path, capsys):
+    cache_dir = tmp_path / "cache"
+    cache_dir.mkdir()
+    (cache_dir / "recursion-cache-n3.json").write_text("{not json")
+    code, out, err = run(capsys, "compute", "F", "--lambda", "1,0", "--n", "2",
+                         "--cache-dir", str(cache_dir))
+    assert (code, out, err) == (0, "(a+1)*x1 + x2\n", "")
+    code, out, err = run(capsys, "compute", "J", "--lambda", "2,1", "--n", "3",
+                         "--cache-dir", str(cache_dir))
+    assert (code, out, err) == (0, "(a+2) m[2,1] + 6 m[1,1,1]\n", "")
+    # the file of the request's own n is still read, and cache stats reads all
+    code, _, err = run(capsys, "compute", "E", "--lambda", "1,0,0", "--n", "3",
+                       "--cache-dir", str(cache_dir))
+    assert code == 3 and "cannot load cache file" in err
+    code, _, err = run(capsys, "cache", "stats", "--cache-dir", str(cache_dir))
+    assert code == 3 and "cannot load cache file" in err
+
+
+def _modules_after(argv):
+    """The sorted names in sys.modules after an in-process CLI request, run
+    in a fresh interpreter."""
     src = Path(__file__).resolve().parent.parent / "src"
     script = (
         "import sys\n"
         "import jackpoly.cli\n"
-        "assert jackpoly.cli.main(['compute', 'F', '--lambda', '2,1,0', '--n', '3']) == 0\n"
-        "print(sorted(m for m in sys.modules if m.startswith('jackpoly.')))\n"
+        f"assert jackpoly.cli.main({argv!r}) == 0\n"
+        "print(sorted(sys.modules))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(src))
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    loaded = proc.stdout.splitlines()[-1]
+    return proc.stdout.splitlines()[-1]
+
+
+def test_compute_f_imports_no_sweep_modules():
+    loaded = _modules_after(["compute", "F", "--lambda", "2,1,0", "--n", "3"])
     for name in ("jackpoly.verify", "jackpoly.tableaux", "jackpoly.cherednik"):
         assert repr(name) not in loaded
+
+
+def test_verify_imports_no_thread_pool():
+    loaded = _modules_after(["verify", "eigen", "--n-max", "2", "--deg-max", "2"])
+    assert "'jackpoly.verify'" in loaded
+    assert "'concurrent.futures'" not in loaded
 
 
 def test_star_import_exposes_every_public_name():
@@ -398,17 +467,6 @@ def test_cache_dir_from_environment(tmp_path, capsys, monkeypatch):
     code, _, _ = run(capsys, "compute", "F", "--lambda", "1,1", "--n", "2")
     assert code == 0
     assert list((tmp_path / "envcache").glob("*.json"))
-
-
-def test_threads_flag_and_env(capsys, monkeypatch):
-    code, out, _ = run(capsys, "verify", "oracle-equivalence", "--n-max", "2",
-                       "--deg-max", "2", "--threads", "2")
-    assert code == 0
-    monkeypatch.setenv(cli.ENV_THREADS, "2")
-    code, out2, _ = run(capsys, "verify", "oracle-equivalence", "--n-max", "2",
-                        "--deg-max", "2")
-    assert code == 0
-    assert out == out2
 
 
 def test_compute_latex(capsys):

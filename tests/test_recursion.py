@@ -176,16 +176,3 @@ def test_cache_stats_helpers():
     f_poly((1, 0, 0), cache)
     assert cache.variable_counts() == [2, 3]
     assert len(cache) == len(cache.entries(2)) + len(cache.entries(3))
-    assert cache.total_terms() > 0
-
-
-def test_concurrent_computations_share_a_store():
-    from concurrent.futures import ThreadPoolExecutor
-    from jackpoly.compositions import compositions_up_to
-
-    shapes = [lam for lam in compositions_up_to(3, 4)]
-    cache = RecursionCache()
-    with ThreadPoolExecutor(max_workers=4) as pool:
-        warm = list(pool.map(lambda lam: f_poly(lam, cache), shapes))
-    for lam, poly in zip(shapes, warm):
-        assert poly == f_poly(lam)

@@ -97,15 +97,6 @@ def test_weight_bookkeeping():
             assert t.monomial().total_degree() == degree(lam)
 
 
-def test_first_label_partition():
-    shape, n = (2, 1), 3
-    full = sorted(t.labels for t in tableaux(shape, n, zero_variant=True))
-    split = []
-    for v in range(1, n + 1):
-        split.extend(t.labels for t in tableaux(shape, n, True, first_label=v))
-    assert sorted(split) == full
-
-
 def test_f_comb_examples():
     assert f_comb((1, 0)) == MPoly(2, {(1, 0): A + 1, (0, 1): AlphaPoly.ONE})
     assert f_comb((0, 1)) == MPoly(2, {(0, 1): A + 2})
@@ -128,12 +119,6 @@ def test_j_comb_is_symmetric():
         j = j_comb(lam, 3)
         for i in (1, 2):
             assert j.swap(i, i + 1) == j
-
-
-def test_threads_do_not_change_results():
-    for lam in [(2, 1, 0), (0, 2, 1), (0, 0, 0)]:
-        assert f_comb(lam, threads=3) == f_comb(lam)
-    assert j_comb((2, 1), 3, threads=2) == j_comb((2, 1), 3)
 
 
 def test_zero_variant_agrees_with_plain_on_high_labels():
