@@ -181,7 +181,7 @@ def orthogonality_check(lam: Sequence[int], ctx: PairingContext,
             return {"side": "nonsymmetric", "mu": list(mu), "value": str(val)}
     if is_partition(lam):
         hooks = lower_hook_product(lam).evaluate(alpha)
-        j_spec = specialize_alpha(j_poly(lam, ctx.n, cache), alpha)
+        j_spec = specialize_alpha(j_poly(lam, ctx.n), alpha)
         p_spec = j_spec.map_coefficients(lambda c: c / hooks)
         for mu in partition_iter(degree(lam), max_len=ctx.n):
             mu_padded = mu + (0,) * (ctx.n - len(mu))

@@ -359,7 +359,6 @@ def _cmd_cache(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=["json", "text", "latex"], default="text")
     common.add_argument("--cache-dir", default=None,
                         help=f"directory for recursion cache files (or {ENV_CACHE_DIR})")
     common.add_argument("--force", action="store_true",
@@ -374,6 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_compute = sub.add_parser("compute", parents=[common],
                                help="compute one polynomial or expansion")
     p_compute.add_argument("kind", choices=["F", "E", "J", "P"])
+    p_compute.add_argument("--format", choices=["json", "text", "latex"], default="text")
     p_compute.add_argument("--lambda", dest="lam", required=True,
                            help="comma-separated parts, e.g. 2,1,0")
     p_compute.add_argument("--n", type=int, required=True, help="number of variables")
@@ -384,6 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", parents=[common],
                               help="run one verification sweep")
     p_verify.add_argument("check", choices=CHECK_NAMES)
+    p_verify.add_argument("--format", choices=["json", "text"], default="text")
     p_verify.add_argument("--n-max", type=int, default=3)
     p_verify.add_argument("--deg-max", type=int, default=4)
     p_verify.add_argument("--k-list", default="1,2",
@@ -392,6 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cache = sub.add_parser("cache", parents=[common],
                              help="inspect or move the recursion cache")
     p_cache.add_argument("action", choices=["stats", "clear", "export", "import"])
+    p_cache.add_argument("--format", choices=["json", "text"], default="text")
     p_cache.add_argument("--path", default=None, help="file for export/import")
     p_cache.add_argument("--n", type=int, default=None,
                          help="variable count to export when several are cached")

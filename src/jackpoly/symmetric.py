@@ -76,10 +76,9 @@ def j_expansion(lam: Sequence[int], n: int) -> MonomialExpansion:
     return MonomialExpansion(n, j_monomial_coefficients(lam, n))
 
 
-def j_poly(lam: Sequence[int], n: int, cache: RecursionCache | None = None) -> MPoly:
+def j_poly(lam: Sequence[int], n: int) -> MPoly:
     """Integral symmetric polynomial of a partition in n variables, rebuilt
-    from j_expansion.  The cache is accepted for compatibility but not
-    consulted: the walk builds no n + len(lam) variable F to memoize."""
+    from j_expansion."""
     return j_expansion(lam, n).reconstruct()
 
 
@@ -111,10 +110,9 @@ def j_via_symmetrization(lam: Sequence[int], n: int,
     return total.map_coefficients(lambda c: c.exact_scalar_div(div))
 
 
-def p_poly(lam: Sequence[int], n: int, cache: RecursionCache | None = None) -> MPoly:
+def p_poly(lam: Sequence[int], n: int) -> MPoly:
     """Monic symmetric polynomial: the integral one divided by the product of
-    lower hooks.  Leading monomial coefficient is exactly 1.  The cache is
-    not consulted (see j_poly)."""
+    lower hooks.  Leading monomial coefficient is exactly 1."""
     lam = tuple(lam)[:length(lam)]
     j = j_poly(lam, n)
     hooks = lower_hook_product(lam)

@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import subprocess
@@ -6,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from jackpoly import cli
+from jackpoly import cli, verify
 from jackpoly.verify import Verdict
 
 
@@ -474,3 +475,26 @@ def test_compute_latex(capsys):
                        "--format", "latex")
     assert code == 0
     assert "\\alpha" in out and "x_{1}" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "cyclic", "--n-max", "2", "--deg-max", "2"],
+    ["cache", "stats", "--cache-dir", "unused"],
+], ids=["verify", "cache"])
+def test_latex_format_is_only_for_compute(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        cli.main(argv + ["--format", "latex"])
+    assert info.value.code == 2
+    assert "invalid choice: 'latex'" in capsys.readouterr().err
+
+
+def test_public_verify_functions_are_the_sweeps_of_checks():
+    # perfbench/tracer.py adds the cases of every public function of
+    # jackpoly.verify, so each must be a sweep that one check runs
+    public = {name for name, value in vars(verify).items()
+              if inspect.isfunction(value) and value.__module__ == verify.__name__
+              and not name.startswith("_")}
+    swept = {function for sweeps in cli.CHECKS.values() for function, _, _ in sweeps}
+    assert public == swept
+    for name in swept:
+        assert inspect.isfunction(getattr(verify, name)), name

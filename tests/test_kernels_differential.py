@@ -247,11 +247,10 @@ def test_digit_bound_is_the_final_digit_sum():
 
 
 def _check_expansions(deg_max: int, n_max: int) -> None:
-    cache = RecursionCache()
     for d in range(deg_max + 1):
         for lam in partitions(d):
             for n in range(max(len(lam), 1), n_max + 1):
-                for poly in (j_poly(lam, n, cache), p_poly(lam, n, cache)):
+                for poly in (j_poly(lam, n), p_poly(lam, n)):
                     got = expand_monomial(poly).entries
                     want = orbit_expand_monomial(poly)
                     assert got == want, (lam, n)

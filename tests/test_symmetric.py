@@ -45,13 +45,13 @@ def test_j_via_restriction_examples(shared_cache):
         j_via_restriction((1, 2), 4, shared_cache)
 
 
-def test_j_poly_variable_count(shared_cache):
-    j = j_poly((2, 1), 3, shared_cache)
+def test_j_poly_variable_count():
+    j = j_poly((2, 1), 3)
     assert j.n == 3
     assert j == j_comb((2, 1), 3)
-    assert j_poly((), 2, shared_cache) == MPoly.one(2, AlphaPoly.ONE)
+    assert j_poly((), 2) == MPoly.one(2, AlphaPoly.ONE)
     with pytest.raises(ValueError):
-        j_poly((1, 1, 1), 2, shared_cache)
+        j_poly((1, 1, 1), 2)
 
 
 def test_j_via_symmetrization_examples(shared_cache):
@@ -69,26 +69,26 @@ def test_routes_agree_small(shared_cache):
     for d in range(5):
         for lam in partitions(d, max_len=3):
             for n in range(max(len(lam), 1), 4):
-                assert j_poly(lam, n, shared_cache) == j_comb(lam, n)
+                assert j_poly(lam, n) == j_comb(lam, n)
                 assert j_via_symmetrization(lam, n, shared_cache) == j_comb(lam, n)
 
 
-def test_p_poly_examples(shared_cache):
-    assert p_poly((1, 1), 2, shared_cache) == MPoly(2, {(1, 1): AlphaFrac(1)})
-    p2 = p_poly((2,), 2, shared_cache)
+def test_p_poly_examples():
+    assert p_poly((1, 1), 2) == MPoly(2, {(1, 1): AlphaFrac(1)})
+    p2 = p_poly((2,), 2)
     assert p2 == MPoly(2, {
         (2, 0): AlphaFrac(1), (0, 2): AlphaFrac(1), (1, 1): AlphaFrac(2, A + 1),
     })
-    assert p_poly((1,), 3, shared_cache) == MPoly(3, {
+    assert p_poly((1,), 3) == MPoly(3, {
         (1, 0, 0): AlphaFrac(1), (0, 1, 0): AlphaFrac(1), (0, 0, 1): AlphaFrac(1),
     })
 
 
-def test_p_is_monic_with_dominance_lower_terms(shared_cache):
+def test_p_is_monic_with_dominance_lower_terms():
     for d in range(1, 5):
         for lam in partitions(d, max_len=3):
             n = 3
-            p = p_poly(lam, n, shared_cache)
+            p = p_poly(lam, n)
             padded = lam + (0,) * (n - len(lam))
             expansion = expand_monomial(p)
             assert expansion.entries[lam] == 1
@@ -108,11 +108,11 @@ def test_monomial_symmetric():
         monomial_symmetric((1, 2), 3)
 
 
-def test_expand_monomial_examples(shared_cache):
-    exp = expand_monomial(j_poly((2,), 2, shared_cache))
+def test_expand_monomial_examples():
+    exp = expand_monomial(j_poly((2,), 2))
     assert exp.entries == {(2,): A + 1, (1, 1): 2 * AlphaPoly.ONE}
     assert exp.augmented()[(1, 1)] == 1
-    exp = expand_monomial(j_poly((2, 1), 3, shared_cache))
+    exp = expand_monomial(j_poly((2, 1), 3))
     assert exp.entries[(2, 1)] == A + 2
     assert exp.entries[(1, 1, 1)] == 6
     assert exp.augmented()[(1, 1, 1)] == 1
@@ -120,8 +120,8 @@ def test_expand_monomial_examples(shared_cache):
     assert exp.entries == {(1,): 1}
 
 
-def test_expand_monomial_reconstructs(shared_cache):
-    j = j_poly((3, 1), 3, shared_cache)
+def test_expand_monomial_reconstructs():
+    j = j_poly((3, 1), 3)
     assert expand_monomial(j).reconstruct() == j
 
 
@@ -137,8 +137,8 @@ def test_expand_monomial_flags_non_integral_augmentation():
         exp.augmented()
 
 
-def test_expand_monomial_handles_fraction_coefficients(shared_cache):
-    p = p_poly((2,), 2, shared_cache)
+def test_expand_monomial_handles_fraction_coefficients():
+    p = p_poly((2,), 2)
     exp = expand_monomial(p)
     assert exp.entries[(2,)] == 1
     assert exp.entries[(1, 1)] == AlphaFrac(2, A + 1)
@@ -160,8 +160,8 @@ def test_expand_partial_sym_examples(shared_cache):
     assert exp.entries == {(1, 1): (A + 1) * (A + 2)}
 
 
-def test_expand_partial_sym_split_zero_matches_monomial(shared_cache):
-    j = j_poly((2, 1), 3, shared_cache)
+def test_expand_partial_sym_split_zero_matches_monomial():
+    j = j_poly((2, 1), 3)
     full = expand_monomial(j)
     split = expand_partial_sym(j, 0)
     for mu, coef in split.entries.items():
@@ -208,9 +208,9 @@ def test_elementary():
     assert e21.coefficient((1, 1, 1)) == 3
 
 
-def test_specialization_examples(shared_cache):
+def test_specialization_examples():
     # alpha = 1 collapses to a hook multiple of the Schur polynomial
-    j = j_poly((2, 1), 3, shared_cache)
+    j = j_poly((2, 1), 3)
     hooks = lower_hook_product((2, 1)).evaluate(1)
     assert specialize_alpha(j, 1) == schur_poly((2, 1), 3).scale(hooks)
     # alpha = 0 is proportional to the conjugate elementary product
