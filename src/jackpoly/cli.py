@@ -358,11 +358,13 @@ def _cmd_cache(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--cache-dir", default=None,
-                        help=f"directory for recursion cache files (or {ENV_CACHE_DIR})")
-    common.add_argument("--force", action="store_true",
-                        help="override the desk-scale guardrails")
+    # each flag only on the subcommands that read it
+    cache_dir = argparse.ArgumentParser(add_help=False)
+    cache_dir.add_argument("--cache-dir", default=None,
+                           help=f"directory for recursion cache files (or {ENV_CACHE_DIR})")
+    force = argparse.ArgumentParser(add_help=False)
+    force.add_argument("--force", action="store_true",
+                       help="override the desk-scale guardrails")
 
     parser = argparse.ArgumentParser(
         prog="jackpoly",
@@ -370,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "verification sweeps for their defining identities.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_compute = sub.add_parser("compute", parents=[common],
+    p_compute = sub.add_parser("compute", parents=[cache_dir, force],
                                help="compute one polynomial or expansion")
     p_compute.add_argument("kind", choices=["F", "E", "J", "P"])
     p_compute.add_argument("--format", choices=["json", "text", "latex"], default="text")
@@ -381,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
                            default=None,
                            help="defaults to monomial-of-x for F/E and m for J/P")
 
-    p_verify = sub.add_parser("verify", parents=[common],
+    p_verify = sub.add_parser("verify", parents=[force],
                               help="run one verification sweep")
     p_verify.add_argument("check", choices=CHECK_NAMES)
     p_verify.add_argument("--format", choices=["json", "text"], default="text")
@@ -390,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--k-list", default="1,2",
                           help="reciprocal alpha values for the pairing")
 
-    p_cache = sub.add_parser("cache", parents=[common],
+    p_cache = sub.add_parser("cache", parents=[cache_dir],
                              help="inspect or move the recursion cache")
     p_cache.add_argument("action", choices=["stats", "clear", "export", "import"])
     p_cache.add_argument("--format", choices=["json", "text"], default="text")

@@ -100,10 +100,17 @@ def _json_ints(items) -> tuple[int, ...]:
 def load_cache_document(doc: dict, cache: RecursionCache) -> int:
     """Install entries from a JSON cache document; returns its variable count.
 
-    Rejects version mismatches, entries inconsistent with the declared n,
-    numbers that are not integers, and negative coefficient digits (every
-    coefficient of F is a non-negative polynomial, and the recursion relies
-    on that).  A well-formed entry with wrong positive values is not caught.
+    Rejects, at O(terms) cost per entry:
+    - a version mismatch and an invalid variable count;
+    - a composition or exponent whose length is not n, or with a negative
+      entry, and an exponent whose degree is not |lam|;
+    - numbers that are not integers, and negative coefficient digits (every
+      coefficient of F is a non-negative polynomial, and the recursion relies
+      on that);
+    - an entry with no terms, and one whose coefficient of x^lam is not
+      upper_hook_product(lam), the lead coefficient of F.
+    Other terms are trusted: a well-formed entry with a wrong or missing
+    non-lead term is not caught.
     """
     if not isinstance(doc, dict):
         raise CacheFormatError("cache document is not an object")
@@ -118,16 +125,29 @@ def load_cache_document(doc: dict, cache: RecursionCache) -> int:
             lam = _json_ints(entry["lambda"])
             if len(lam) != n or any(x < 0 for x in lam):
                 raise CacheFormatError(f"entry {lam} inconsistent with n={n}")
+            size = sum(lam)
             terms = {}
             for term in entry["poly"]:
                 exp = _json_ints(term["exp"])
                 if len(exp) != n:
                     raise CacheFormatError(f"exponent {exp} inconsistent with n={n}")
+                if any(x < 0 for x in exp):
+                    raise CacheFormatError(f"entry {lam} has a negative exponent {exp}")
+                if sum(exp) != size:
+                    raise CacheFormatError(f"entry {lam} has exponent {exp} of degree "
+                                           f"{sum(exp)}, want {size}")
                 coef = AlphaPoly(_json_ints(term["coef"]))
                 if not coef.is_nonnegative():
                     raise CacheFormatError(f"entry {lam} has a negative coefficient {coef}")
                 terms[exp] = coef
-            cache.put(lam, MPoly(n, terms))
+            f = MPoly(n, terms)
+            if not f.terms:
+                raise CacheFormatError(f"entry {lam} has no terms")
+            lead = f.terms.get(lam, AlphaPoly.ZERO)
+            if lead != upper_hook_product(lam):
+                raise CacheFormatError(f"entry {lam} has lead coefficient {lead}, "
+                                       f"want {upper_hook_product(lam)}")
+            cache.put(lam, f)
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, CacheFormatError):
             raise

@@ -6,6 +6,12 @@ column and anywhere above it in the previous column; the 0-variant further
 requires first-column labels to be at least their row index.  Summing the
 monomials of all admissible labelings weighted by upper-hook products over
 the critical boxes reproduces the polynomials of the recursion engine.
+
+The sums walk the same enumeration as tableaux(), but keep each tableau's
+weight vector and hook product up to date as boxes are placed and removed,
+with every box's upper hook computed once per shape.  Tableau, is_admissible,
+critical_boxes and hook_weight are the definitions written out; the tests
+check the kept-up-to-date values against them.
 """
 
 from __future__ import annotations
@@ -59,17 +65,6 @@ class Tableau:
         return MPoly.monomial(self.n, self.weight(), AlphaPoly.ONE)
 
 
-def format_tableau(tab: Tableau) -> str:
-    """One-line debug form: shape header, then rows of labels."""
-    rows = []
-    pos = 0
-    for row_len in tab.shape:
-        rows.append(".".join(str(v) for v in tab.labels[pos:pos + row_len]))
-        pos += row_len
-    shape = ",".join(str(x) for x in tab.shape)
-    return f"shape={shape} rows={'|'.join(rows)}"
-
-
 def is_admissible(tab: Tableau) -> bool:
     """No label repeats below itself in its column, nor above itself in the
     previous column."""
@@ -121,16 +116,19 @@ def _column_major_order(shape: Sequence[int]) -> list[tuple[int, int]]:
             for i in range(len(shape)) if shape[i] >= j]
 
 
-def tableaux(shape: Sequence[int], n: int, zero_variant: bool = False) -> Iterator[Tableau]:
+def tableaux(shape: Sequence[int], n: int, zero_variant: bool = False,
+             weighted: bool = False) -> Iterator:
     """Stream the admissible (or 0-admissible) tableaux of a shape.
 
     Boxes are filled column by column so that every rule prunes as soon as a
-    label is placed.
+    label is placed.  With weighted=True each tableau comes as the pair
+    (tab.weight(), hook_weight(tab, zero_variant)) instead, both kept up to
+    date as the walk places and removes boxes.
     """
     shape = tuple(shape)
     order = _column_major_order(shape)
     if not order:
-        yield Tableau(shape, n, ())
+        yield ((0,) * n, AlphaPoly.ONE) if weighted else Tableau(shape, n, ())
         return
 
     count = len(order)
@@ -150,38 +148,47 @@ def tableaux(shape: Sequence[int], n: int, zero_variant: bool = False) -> Iterat
         prev = [placed_at[(i2, j - 1)] for (i2, j2) in placed_at if j2 == j - 1 and i2 < i]
         conflicts.append(own + prev)
         placed_at[(i, j)] = idx
+    # a box is critical when it repeats the label of its left neighbour's
+    # slot, or (0-variant, first column, no neighbour) when its label is i
+    left = [placed_at.get((i, j - 1), -1) for (i, j) in order]
+    hooks = [upper_hook(shape, box) for box in order]
 
     chosen = [0] * count
     labels_rm = [0] * count
+    w = [0] * n
+    # prods[idx] is the hook product over the critical boxes of slots < idx
+    prods = [AlphaPoly.ONE] * (count + 1)
 
-    def rec(idx: int) -> Iterator[Tableau]:
-        if idx == count:
-            yield Tableau(shape, n, tuple(labels_rm))
-            return
+    def rec(idx: int) -> Iterator:
         i, j = order[idx]
         lo = i if (zero_variant and j == 1) else 1
+        k = left[idx]
         for v in range(lo, n + 1):
-            if any(chosen[k] == v for k in conflicts[idx]):
+            if any(chosen[c] == v for c in conflicts[idx]):
                 continue
             chosen[idx] = v
             labels_rm[fill_offset[idx]] = v
-            yield from rec(idx + 1)
+            critical = chosen[k] == v if k >= 0 else zero_variant and v == i
+            prods[idx + 1] = prods[idx] * hooks[idx] if critical else prods[idx]
+            w[v - 1] += 1
+            if idx + 1 < count:
+                yield from rec(idx + 1)
+            elif weighted:
+                yield tuple(w), prods[count]
+            else:
+                yield Tableau(shape, n, tuple(labels_rm))
+            w[v - 1] -= 1
         chosen[idx] = 0
 
     yield from rec(0)
 
 
 def _tableau_sum(shape: Composition, n: int, zero_variant: bool) -> MPoly:
+    # every hook product has non-negative coefficients, so no sum cancels
     acc: dict[tuple[int, ...], AlphaPoly] = {}
-    for tab in tableaux(shape, n, zero_variant):
-        exp = tab.weight()
-        c = hook_weight(tab, zero_variant)
+    for exp, c in tableaux(shape, n, zero_variant, weighted=True):
         prev = acc.get(exp)
-        s = c if prev is None else prev + c
-        if s:
-            acc[exp] = s
-        elif exp in acc:
-            del acc[exp]
+        acc[exp] = c if prev is None else prev + c
     out = MPoly(n)
     out.terms = acc
     return out

@@ -179,6 +179,18 @@ def test_threads_flag_is_a_usage_error(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv,flag", [
+    (["verify", "cyclic", "--n-max", "2", "--deg-max", "2", "--cache-dir", "unused"],
+     "--cache-dir"),
+    (["cache", "stats", "--cache-dir", "unused", "--force"], "--force"),
+], ids=["verify-cache-dir", "cache-force"])
+def test_flags_exist_only_where_they_act(capsys, argv, flag):
+    with pytest.raises(SystemExit) as info:
+        cli.main(argv)
+    assert info.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("check,n_max,line", [
     ("positivity", "5", "positivity: partially-symmetric-positivity verdict clamped to n_max=4\n"),
     ("sym-routes", "7", "sym-routes: symmetrization-routes verdict clamped to n_max=6\n"),
@@ -288,6 +300,77 @@ def test_compute_rejects_untrustworthy_cache_entry(tmp_path, capsys, edit):
     assert code == 3
     assert out == ""
     assert err.count("\n") == 1 and "cannot load cache file" in err
+
+
+def _edit_cached_entry(tmp_path, capsys, edit):
+    """Write the cache of F(1,0) in 2 variables, edit its (1,0) entry, and
+    return the cache directory."""
+    cache_dir = tmp_path / "cache"
+    code, _, _ = run(capsys, "compute", "F", "--lambda", "1,0", "--n", "2",
+                     "--cache-dir", str(cache_dir))
+    assert code == 0
+    path = cache_dir / "recursion-cache-n2.json"
+    doc = json.loads(path.read_text())
+    edit(next(e for e in doc["entries"] if e["lambda"] == [1, 0]))
+    path.write_text(json.dumps(doc))
+    return cache_dir
+
+
+def _set_x1_coefficient(entry):
+    next(t for t in entry["poly"] if t["exp"] == [1, 0])["coef"] = ["7"]
+
+
+def _empty_poly(entry):
+    entry["poly"] = []
+
+
+def _negative_exponent(entry):
+    entry["poly"][0]["exp"] = [5, -1]
+
+
+def _wrong_degree(entry):
+    entry["poly"][1]["exp"] = [0, 2]
+
+
+@pytest.mark.parametrize("edit,argv,reason", [
+    (_set_x1_coefficient, ["F", "--lambda", "1,0"], "lead coefficient 7, want a+1"),
+    (_empty_poly, ["F", "--lambda", "2,0"], "has no terms"),
+    (_empty_poly, ["E", "--lambda", "1,0"], "has no terms"),
+    (_negative_exponent, ["F", "--lambda", "2,0"], "negative exponent (5, -1)"),
+    (_wrong_degree, ["F", "--lambda", "2,0"], "exponent (0, 2) of degree 2, want 1"),
+], ids=["x1-coefficient", "empty-poly-F", "empty-poly-E", "negative-exponent",
+        "wrong-degree"])
+def test_compute_rejects_cache_entry_with_wrong_format_or_lead(tmp_path, capsys, edit,
+                                                               argv, reason):
+    cache_dir = _edit_cached_entry(tmp_path, capsys, edit)
+    code, out, err = run(capsys, "compute", *argv, "--n", "2", "--cache-dir", str(cache_dir))
+    assert code == 3
+    assert out == ""
+    assert err.count("\n") == 1 and "cannot load cache file" in err and reason in err
+
+
+def test_cache_import_rejects_entry_with_wrong_lead(tmp_path, capsys):
+    cache_dir = _edit_cached_entry(tmp_path, capsys, _set_x1_coefficient)
+    code, _, err = run(capsys, "cache", "import", "--path",
+                       str(cache_dir / "recursion-cache-n2.json"),
+                       "--cache-dir", str(tmp_path / "other"))
+    assert code == 3
+    assert "lead coefficient" in err
+
+
+def test_cache_entry_missing_a_term_still_loads(tmp_path, capsys):
+    # only the lead term is checked: a missing x2 term gives a wrong E with
+    # exit 0 (the right answer has a middle term)
+    def drop_x2(entry):
+        entry["poly"] = [t for t in entry["poly"] if t["exp"] != [0, 1]]
+
+    cache_dir = _edit_cached_entry(tmp_path, capsys, drop_x2)
+    code, out, _ = run(capsys, "compute", "E", "--lambda", "2,0", "--n", "2",
+                       "--cache-dir", str(cache_dir))
+    assert code == 0
+    assert out == "x1^2 + (1/(2a+1))*x2^2\n"
+    code, out, _ = run(capsys, "compute", "E", "--lambda", "2,0", "--n", "2")
+    assert out == "x1^2 + (2/(2a+1))*x1*x2 + (1/(2a+1))*x2^2\n"
 
 
 @pytest.mark.parametrize("bounds", [["--n-max", "-3"], ["--n-max", "0"],

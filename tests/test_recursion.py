@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -168,6 +169,37 @@ def test_cache_document_version_gate():
             RecursionCache())
     with pytest.raises(CacheFormatError):
         load_cache_document({"version": 1, "n": 2, "entries": [{}]}, RecursionCache())
+
+
+def test_lead_coefficient_of_f_is_the_upper_hook_product(shared_cache):
+    # load_cache_document refuses an entry whose x^lam coefficient differs
+    count = 0
+    for n in range(1, 6):
+        for lam in compositions_up_to(n, 6):
+            assert f_poly(lam, shared_cache).terms[lam] == upper_hook_product(lam), lam
+            count += 1
+    assert count == 791
+    for n in range(1, 6):
+        doc = json.loads(json.dumps(cache_document(shared_cache, n)))
+        assert load_cache_document(doc, RecursionCache()) == n
+
+
+@pytest.mark.parametrize("poly,reason", [
+    ([], "no terms"),
+    ([{"exp": [1, 0], "coef": ["1", "1"]}, {"exp": [2, -1], "coef": ["1"]}],
+     "negative exponent"),
+    ([{"exp": [1, 0], "coef": ["1", "1"]}, {"exp": [0, 2], "coef": ["1"]}], "degree 2"),
+    ([{"exp": [1, 0], "coef": ["2", "1"]}, {"exp": [0, 1], "coef": ["1"]}],
+     "lead coefficient a+2, want a+1"),
+    ([{"exp": [0, 1], "coef": ["1"]}], "lead coefficient 0, want a+1"),
+    ([{"exp": [1, 0], "coef": ["0"]}, {"exp": [0, 1], "coef": ["1"]}],
+     "lead coefficient 0, want a+1"),
+], ids=["empty", "negative-exponent", "wrong-degree", "wrong-lead", "missing-lead",
+        "zero-lead"])
+def test_cache_document_rejects_wrong_format_or_lead(poly, reason):
+    doc = {"version": 1, "n": 2, "entries": [{"lambda": [1, 0], "poly": poly}]}
+    with pytest.raises(CacheFormatError, match=re.escape(reason)):
+        load_cache_document(doc, RecursionCache())
 
 
 def test_cache_stats_helpers():

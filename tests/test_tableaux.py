@@ -3,14 +3,13 @@ import types
 import pytest
 
 from jackpoly.alphapoly import AlphaPoly
-from jackpoly.compositions import compositions_up_to, degree
+from jackpoly.compositions import compositions, compositions_up_to, degree, partitions
 from jackpoly.mpoly import MPoly
 from jackpoly.recursion import f_poly, phi_k
 from jackpoly.tableaux import (
     Tableau,
     critical_boxes,
     f_comb,
-    format_tableau,
     hook_weight,
     is_admissible,
     is_zero_admissible,
@@ -32,11 +31,6 @@ def test_tableau_basics():
         Tableau((2, 1), 3, (1, 2))
     with pytest.raises(ValueError):
         Tableau((1,), 2, (3,))
-
-
-def test_format_tableau():
-    t = Tableau((2, 1), 3, (2, 1, 1))
-    assert format_tableau(t) == "shape=2,1 rows=2.1|1"
 
 
 def test_is_admissible_examples():
@@ -88,6 +82,46 @@ def test_enumeration_matches_filter():
     zero = {t.labels for t in tableaux(shape, n, zero_variant=True)}
     assert plain == {ls for ls in all_labelings if is_admissible(Tableau(shape, n, ls))}
     assert zero == {ls for ls in all_labelings if is_zero_admissible(Tableau(shape, n, ls))}
+
+
+def _assert_weighted_stream_matches(shape, n, zero_variant):
+    expected = [(t.weight(), hook_weight(t, zero_variant))
+                for t in tableaux(shape, n, zero_variant)]
+    got = list(tableaux(shape, n, zero_variant, weighted=True))
+    assert got == expected, (shape, n, zero_variant)
+    return len(got)
+
+
+def test_weighted_stream_matches_definitions_on_compositions():
+    count = 0
+    for n in range(1, 6):
+        for lam in compositions_up_to(n, 5):
+            for zero_variant in (False, True):
+                count += _assert_weighted_stream_matches(lam, n, zero_variant)
+    assert count > 10**5
+
+
+def test_weighted_stream_matches_definitions_on_partitions():
+    for n in range(1, 7):
+        for d in range(7):
+            for lam in partitions(d, max_len=n):
+                _assert_weighted_stream_matches(lam, n, False)
+
+
+def test_weighted_stream_of_the_empty_shape():
+    for shape in [(), (0,), (0, 0, 0)]:
+        for zero_variant in (False, True):
+            assert list(tableaux(shape, 3, zero_variant, weighted=True)) == \
+                [((0, 0, 0), AlphaPoly.ONE)]
+            assert _assert_weighted_stream_matches(shape, 3, zero_variant) == 1
+
+
+@pytest.mark.slow
+def test_weighted_stream_matches_definitions_wider():
+    # degree 6 at n = 5: 1.2 million tableaux over both variants
+    for lam in compositions(5, 6):
+        for zero_variant in (False, True):
+            _assert_weighted_stream_matches(lam, 5, zero_variant)
 
 
 def test_weight_bookkeeping():
