@@ -21,10 +21,11 @@ _EXPORTS = {
     "Ordering": "compositions", "compare": "compositions",
     "compositions": "compositions", "eigenvalue": "compositions",
     "lambda_plus": "compositions", "lower_hook": "compositions",
-    "lower_hook_product": "compositions", "partitions": "compositions",
+    "lower_hook_product": "compositions", "lower_hooks": "compositions",
+    "partitions": "compositions",
     "sorting_word": "compositions", "upper_hook": "compositions",
-    "upper_hook_product": "compositions",
-    "MPoly": "mpoly", "divide_coefficients": "mpoly",
+    "upper_hook_product": "compositions", "upper_hooks": "compositions",
+    "MPoly": "mpoly", "clear_denominators": "mpoly", "divide_coefficients": "mpoly",
     "divided_transposition": "mpoly", "specialize_alpha": "mpoly",
     "RecursionCache": "recursion", "e_poly": "recursion", "f_poly": "recursion",
     "phi_k": "recursion",

@@ -4,13 +4,22 @@
 densely by increasing power.  ``AlphaFrac`` is a reduced quotient of two such
 polynomials, i.e. an element of the rational-function field Q(alpha).  Both
 are immutable values with arbitrary-precision arithmetic; ints coerce freely.
+
+Every denominator the package builds is a product of factors linear in
+alpha: hooks, spectral gaps and integers.  So an ``AlphaFrac`` keeps its
+denominator split into an integer content, a sorted tuple of primitive
+linear factors and a primitive remainder.  A fraction is reduced by
+trial-dividing its numerator by each linear factor, sums are taken over the
+lcm of the two factor multisets, and the expanded ``den`` is built only when
+something reads it.  The remainder is 1 unless a caller divides by a
+polynomial of degree >= 2; only such a remainder goes through the general
+pseudo-remainder gcd, ``poly_gcd``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 
 
 class ExactnessError(ArithmeticError):
@@ -144,10 +153,7 @@ class AlphaPoly:
 
     def content(self) -> int:
         """Gcd of the integer coefficients (0 for the zero polynomial)."""
-        g = 0
-        for c in self.coeffs:
-            g = gcd(g, c)
-        return g
+        return gcd(*self.coeffs)
 
     def primitive_part(self) -> "AlphaPoly":
         c = self.content()
@@ -164,11 +170,13 @@ class AlphaPoly:
         return AlphaPoly(tuple(c // k for c in self.coeffs))
 
     def evaluate(self, value):
-        """Evaluate at a numeric value (int or Fraction) by Horner's rule."""
-        result = value * 0
-        for c in reversed(self.coeffs):
-            result = result * value + c
-        return result
+        """Evaluate at an int (giving an int) or a Fraction (giving a
+        Fraction).  Horner's rule runs in integers on the homogenised
+        polynomial, and the one division happens at the end."""
+        if isinstance(value, int):
+            return _horner(self.coeffs, value, 1)
+        d = value.denominator
+        return Fraction(_horner(self.coeffs, value.numerator, d), d ** max(self.degree, 0))
 
     # -- presentation ----------------------------------------------------
 
@@ -210,6 +218,15 @@ AlphaPoly.ONE = AlphaPoly((1,))
 AlphaPoly.ALPHA = AlphaPoly((0, 1))
 
 
+def _horner(coeffs: tuple, n: int, d: int) -> int:
+    """sum c_k n^k d^(deg-k): d^deg times the value at n/d."""
+    total, dk = 0, 1
+    for c in reversed(coeffs):
+        total = total * n + c * dk
+        dk *= d
+    return total
+
+
 def _pseudo_rem(f: tuple, g: tuple) -> tuple:
     """Pseudo-remainder of dense integer coefficient lists: lc(g)^(df-dg+1) f mod g."""
     r = list(f)
@@ -231,25 +248,14 @@ def _pseudo_rem(f: tuple, g: tuple) -> tuple:
     return tuple(r)
 
 
-@lru_cache(maxsize=None)
-def _gcd_coeffs(a: tuple, b: tuple) -> tuple:
-    if not a:
-        f = AlphaPoly(b).primitive_part()
-        return tuple(-c for c in f.coeffs) if f.leading < 0 else f.coeffs
-    if not b:
-        return _gcd_coeffs(b, a)
-    f = AlphaPoly(a).primitive_part().coeffs
-    g = AlphaPoly(b).primitive_part().coeffs
-    while g:
-        f, g = g, AlphaPoly(_pseudo_rem(f, g)).primitive_part().coeffs
-    if f[-1] < 0:
-        f = tuple(-c for c in f)
-    return f
-
-
 def poly_gcd(f: AlphaPoly, g: AlphaPoly) -> AlphaPoly:
     """Primitive gcd with positive leading coefficient (of the primitive parts)."""
-    return AlphaPoly(_gcd_coeffs(f.coeffs, g.coeffs))
+    if not f:
+        f, g = g, f
+    f, g = f.primitive_part().coeffs, g.primitive_part().coeffs
+    while g:
+        f, g = g, AlphaPoly(_pseudo_rem(f, g)).primitive_part().coeffs
+    return AlphaPoly(tuple(-c for c in f) if f and f[-1] < 0 else f)
 
 
 def exact_poly_div(f: AlphaPoly, g: AlphaPoly) -> AlphaPoly:
@@ -284,46 +290,176 @@ def exact_poly_div(f: AlphaPoly, g: AlphaPoly) -> AlphaPoly:
     return AlphaPoly(quot)
 
 
+# -- denominators split into linear factors ------------------------------------
+#
+# A linear factor is a pair (q, p) standing for p*alpha + q, primitive, with
+# p > 0.  A factor tuple is sorted, so equal multisets are equal tuples.
+
+_ONE = (1,)
+
+
+def _times_linear(coeffs, factor) -> list:
+    q, p = factor
+    out = [q * c for c in coeffs]
+    out.append(0)
+    for k, c in enumerate(coeffs):
+        out[k + 1] += p * c
+    return out
+
+
+def _div_linear(coeffs: tuple, factor):
+    """The quotient of a polynomial of degree >= 1 by a linear factor, or
+    None when it does not divide.  Synthetic division from the top stops at
+    the first digit that is not an integer; as the factor is primitive,
+    division over Q is exact exactly when it is exact over Z."""
+    q, p = factor
+    out = [0] * (len(coeffs) - 1)
+    digit = 0
+    for k in range(len(coeffs) - 1, 0, -1):
+        digit, r = divmod(coeffs[k] - q * digit, p)
+        if r:
+            return None
+        out[k - 1] = digit
+    return tuple(out) if coeffs[0] == q * digit else None
+
+
+def _cancel(coeffs: tuple, lin: tuple) -> tuple[tuple, tuple]:
+    """Divide out each factor of lin that divides the polynomial:
+    (quotient, the factors left)."""
+    left = []
+    failed = None
+    for factor in lin:
+        if factor != failed and len(coeffs) > 1:
+            quotient = _div_linear(coeffs, factor)
+            if quotient is not None:
+                coeffs = quotient
+                continue
+            failed = factor
+        left.append(factor)
+    return coeffs, tuple(left)
+
+
+def _lcm(a: tuple, b: tuple) -> tuple[tuple, list, list]:
+    """The lcm of two factor tuples, with the factors each one lacks."""
+    if a == b:
+        return a, [], []
+    missing_a, missing_b = list(b), []
+    for factor in a:
+        if factor in missing_a:
+            missing_a.remove(factor)
+        else:
+            missing_b.append(factor)
+    return tuple(sorted(a + tuple(missing_a))), missing_a, missing_b
+
+
+def _split(den) -> tuple[int, list, tuple]:
+    """(c, linear factors, remainder) with den = c * prod(factors) *
+    remainder, for den an int, an AlphaPoly or a sequence of them.  c is a
+    nonzero int carrying the sign; the remainder is primitive with a
+    positive leading coefficient."""
+    if isinstance(den, (list, tuple)):
+        c, lin, rem = 1, [], _ONE
+        for factor in den:
+            fc, fl, fr = _split(factor)
+            c *= fc
+            lin += fl
+            if fr != _ONE:
+                rem = (AlphaPoly(rem) * AlphaPoly(fr)).coeffs
+        return c, lin, rem
+    coeffs = den.coeffs if isinstance(den, AlphaPoly) else (den,) if den else ()
+    if not coeffs:
+        raise ZeroDivisionError("zero denominator")
+    if len(coeffs) == 1:
+        return coeffs[0], [], _ONE
+    g = gcd(*coeffs)
+    if coeffs[-1] < 0:
+        g = -g
+    prim = tuple(x // g for x in coeffs)
+    return (g, [prim], _ONE) if len(coeffs) == 2 else (g, [], prim)
+
+
+def _reduced(num, c: int, lin: tuple, rem: tuple) -> tuple:
+    """The canonical parts of num / (c * prod(lin) * rem), given c > 0 and a
+    numerator (a coefficient sequence) with no factor in lin."""
+    num = AlphaPoly(num)
+    if not num:
+        return num, 1, (), _ONE
+    if rem != _ONE:
+        g = poly_gcd(num, AlphaPoly(rem))
+        if g.degree > 0:
+            num = exact_poly_div(num, g)
+            rem = exact_poly_div(AlphaPoly(rem), g).coeffs
+    k = gcd(c, *num.coeffs)
+    if k > 1:
+        num = AlphaPoly(tuple(x // k for x in num.coeffs))
+        c //= k
+    return num, c, lin, rem
+
+
+def _new(num: AlphaPoly, c: int, lin: tuple, rem: tuple, den=None) -> "AlphaFrac":
+    """An AlphaFrac from parts already in canonical form."""
+    return object.__new__(AlphaFrac)._set(num, c, lin, rem, den)
+
+
+def _widen(x: "AlphaFrac", c: int, factors) -> AlphaPoly:
+    """x's numerator brought over the denominator c * (x's linear factors)
+    * factors; c is a multiple of x's content."""
+    k = c // x._c
+    coeffs = [k * v for v in x.num.coeffs]
+    for factor in factors:
+        coeffs = _times_linear(coeffs, factor)
+    return AlphaPoly(coeffs)
+
+
 class AlphaFrac:
     """Reduced quotient of integer polynomials in alpha.
 
     The canonical form is unique: numerator and denominator have no common
     polynomial factor over Q, their integer contents are coprime, and the
-    denominator has a positive leading coefficient.
+    denominator has a positive leading coefficient.  The denominator may be
+    given as an int, an AlphaPoly, or a sequence of them (for instance hook
+    factors); a degree-1 polynomial is a known linear factor.
 
     >>> a = AlphaPoly.ALPHA
     >>> AlphaFrac(a * a - 1, a + 1) == a - 1
     True
     >>> str(AlphaFrac(2, 2 * a + 2))
     '1/(a+1)'
+    >>> str(AlphaFrac(a + 1, [a + 1, 2 * a + 1]))
+    '1/(2a+1)'
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ("num", "_c", "_lin", "_rem", "_den")
 
     ZERO: "AlphaFrac"
     ONE: "AlphaFrac"
 
     def __init__(self, num, den=1):
         num = num if isinstance(num, AlphaPoly) else AlphaPoly(num)
-        den = den if isinstance(den, AlphaPoly) else AlphaPoly(den)
-        if not den:
-            raise ZeroDivisionError("zero denominator")
-        if not num:
-            den = AlphaPoly.ONE
-        else:
-            g = poly_gcd(num, den)
-            if g.degree > 0:
-                num = exact_poly_div(num, g)
-                den = exact_poly_div(den, g)
-            c = gcd(num.content(), den.content())
-            if c > 1:
-                num = num.exact_scalar_div(c)
-                den = den.exact_scalar_div(c)
-            if den.leading < 0:
-                num = -num
-                den = -den
-        self.num = num
-        self.den = den
+        c, lin, rem = _split(den)
+        coeffs = num.coeffs
+        if c < 0:
+            c = -c
+            coeffs = tuple(-x for x in coeffs)
+        lin = tuple(sorted(lin))
+        if lin and coeffs:
+            coeffs, lin = _cancel(coeffs, lin)
+        self._set(*_reduced(coeffs, c, lin, rem))
+
+    def _set(self, num, c, lin, rem, den=None) -> "AlphaFrac":
+        self.num, self._c, self._lin, self._rem, self._den = num, c, lin, rem, den
+        return self
+
+    @property
+    def den(self) -> AlphaPoly:
+        """The expanded denominator, built on first use."""
+        if self._den is None:
+            coeffs = self._rem
+            for factor in self._lin:
+                coeffs = _times_linear(coeffs, factor)
+            c = self._c
+            self._den = AlphaPoly(tuple(c * x for x in coeffs))
+        return self._den
 
     # -- queries ---------------------------------------------------------
 
@@ -331,13 +467,17 @@ class AlphaFrac:
         return bool(self.num)
 
     def is_polynomial(self) -> bool:
-        return self.den == AlphaPoly.ONE
+        return self._c == 1 and not self._lin and self._rem == _ONE
 
     def __eq__(self, other):
         if isinstance(other, AlphaFrac):
+            if self._rem == other._rem == _ONE:
+                # the linear factorisation of a denominator is unique
+                return (self._lin == other._lin and self._c == other._c
+                        and self.num == other.num)
             return self.num == other.num and self.den == other.den
         if isinstance(other, (AlphaPoly, int)):
-            return self.den == AlphaPoly.ONE and self.num == other
+            return self.is_polynomial() and self.num == other
         return NotImplemented
 
     def __hash__(self):
@@ -349,24 +489,34 @@ class AlphaFrac:
     def _coerce(other):
         if isinstance(other, AlphaFrac):
             return other
-        if isinstance(other, (AlphaPoly, int)):
-            return AlphaFrac(other)
+        if isinstance(other, int):
+            other = AlphaPoly(other)
+        if isinstance(other, AlphaPoly):
+            return _new(other, 1, (), _ONE, AlphaPoly.ONE)
         return None
 
     def __add__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return AlphaFrac(self.num * other.den + other.num * self.den,
-                         self.den * other.den)
+        if not other.num:
+            return self
+        if not self.num:
+            return other
+        lin, to_self, to_other = _lcm(self._lin, other._lin)
+        c = lcm(self._c, other._c)
+        left, right = _widen(self, c, to_self), _widen(other, c, to_other)
+        rem = self._rem
+        if other._rem != rem:
+            left, right = left * AlphaPoly(other._rem), right * AlphaPoly(rem)
+            rem = (AlphaPoly(rem) * AlphaPoly(other._rem)).coeffs
+        coeffs, lin = _cancel((left + right).coeffs, lin)
+        return _new(*_reduced(coeffs, c, lin, rem))
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = object.__new__(AlphaFrac)
-        out.num = -self.num
-        out.den = self.den
-        return out
+        return _new(-self.num, self._c, self._lin, self._rem, self._den)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -384,26 +534,52 @@ class AlphaFrac:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return AlphaFrac(self.num * other.num, self.den * other.den)
+        if not self.num or not other.num:
+            return AlphaFrac.ZERO
+        # each numerator is already free of its own denominator's factors
+        left, lin_other = _cancel(self.num.coeffs, other._lin)
+        right, lin_self = _cancel(other.num.coeffs, self._lin)
+        if self._rem == _ONE or other._rem == _ONE:
+            rem = other._rem if self._rem == _ONE else self._rem
+        else:
+            rem = (AlphaPoly(self._rem) * AlphaPoly(other._rem)).coeffs
+        return _new(*_reduced((AlphaPoly(left) * AlphaPoly(right)).coeffs,
+                              self._c * other._c, tuple(sorted(lin_self + lin_other)), rem))
 
     __rmul__ = __mul__
+
+    def _inverse(self) -> "AlphaFrac":
+        # numerator and denominator are coprime, so swapping them needs no
+        # reduction; only the sign moves back to the numerator
+        c, lin, rem = _split(self.num)
+        return _new(self.den if c > 0 else -self.den, abs(c), tuple(lin), rem)
 
     def __truediv__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return AlphaFrac(self.num * other.den, self.den * other.num)
+        return self * other._inverse()
 
     def __rtruediv__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return other / self
+        return other * self._inverse()
 
     def evaluate(self, value) -> Fraction:
-        num = self.num.evaluate(Fraction(value))
-        den = self.den.evaluate(Fraction(value))
-        return Fraction(num, den)
+        """The value at an int or Fraction, as a Fraction: integer Horner on
+        the homogenised numerator and denominator, divided once."""
+        value = Fraction(value)
+        n, d = value.numerator, value.denominator
+        top = _horner(self.num.coeffs, n, d)
+        bottom = self._c * _horner(self._rem, n, d)
+        for q, p in self._lin:
+            bottom *= p * n + q * d
+        # top / d^deg(num) over bottom / d^deg(den)
+        shift = len(self._lin) + len(self._rem) - len(self.num.coeffs)
+        if shift >= 0:
+            return Fraction(top * d ** shift, bottom)
+        return Fraction(top, bottom * d ** -shift)
 
     # -- presentation ----------------------------------------------------
 
@@ -434,3 +610,25 @@ class AlphaFrac:
 
 AlphaFrac.ZERO = AlphaFrac(0)
 AlphaFrac.ONE = AlphaFrac(1)
+
+
+def over_common_denominator(values) -> tuple[list, list[AlphaPoly]]:
+    """(D, [D * v for v in values]) with D the lcm of the denominators of
+    values (AlphaFrac, AlphaPoly or int), so every product lies in
+    Z[alpha].  D is a factor list that AlphaFrac takes as a denominator: an
+    int, then linear factors.  A remainder of degree >= 2 enters D once per
+    distinct value: a common multiple, not always the least."""
+    fracs = [v if isinstance(v, AlphaFrac) else AlphaFrac(v) for v in values]
+    c = lcm(1, *(x._c for x in fracs))
+    lin = ()
+    for x in fracs:
+        lin = _lcm(lin, x._lin)[0]
+    rem = AlphaPoly.ONE
+    for r in dict.fromkeys(x._rem for x in fracs if x._rem != _ONE):
+        rem = rem * AlphaPoly(r)
+    out = [_widen(x, c, _lcm(x._lin, lin)[1]) for x in fracs]
+    factors = [c, *(AlphaPoly(f) for f in lin)]
+    if rem != 1:
+        out = [num * exact_poly_div(rem, AlphaPoly(x._rem)) for num, x in zip(out, fracs)]
+        factors.append(rem)
+    return factors, out

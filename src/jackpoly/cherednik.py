@@ -14,10 +14,10 @@ per-k results.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence
+from math import lcm
+from typing import NamedTuple, Sequence
 
 from .alphapoly import AlphaPoly
 from .compositions import (
@@ -27,7 +27,7 @@ from .compositions import (
     lower_hook_product,
     Ordering,
 )
-from .mpoly import MPoly, divided_transposition, specialize_alpha
+from .mpoly import MPoly, clear_denominators, divided_transposition, specialize_alpha
 from .recursion import RecursionCache, e_poly, phi_k
 
 
@@ -53,9 +53,13 @@ def xi_apply(i: int, f: MPoly) -> MPoly:
 
 
 def eigen_check(lam: Sequence[int], cache: RecursionCache | None = None) -> list[bool]:
-    """Whether the i-th operator scales E[lam] by its spectral value, per i."""
+    """Whether the i-th operator scales E[lam] by its spectral value, per i.
+
+    The operators run on D * E, with D the common denominator of E's
+    coefficients: the same statement scaled by a nonzero constant, over
+    Z[alpha] instead of Q(alpha)."""
     lam = tuple(lam)
-    e = e_poly(lam, cache)
+    _, e = clear_denominators(e_poly(lam, cache))
     return [xi_apply(i, e) == e.scale(eigenvalue(lam, i))
             for i in range(1, len(lam) + 1)]
 
@@ -103,13 +107,12 @@ def hecke_relations_check(n: int, max_degree: int) -> dict | None:
 # -- the scalar product -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PairingContext:
+class PairingContext(NamedTuple):
     """Expanded weight for the constant-term pairing at alpha = 1/k."""
 
     n: int
     k: int
-    delta: MPoly = field(compare=False)
+    delta: MPoly
 
     def weight_coefficient(self, exp: tuple[int, ...]) -> int:
         return self.delta.terms.get(exp, 0)
@@ -140,19 +143,29 @@ def pairing_context(n: int, k: int) -> PairingContext:
 def scalar_product(f: MPoly, g: MPoly, ctx: PairingContext) -> Fraction:
     """Constant term of f(x) g(1/x) delta, in exact rational arithmetic.
 
-    Coefficients of f and g must already be numeric (alpha specialized).
+    Coefficients of f and g must already be numeric (alpha specialized):
+    ints or Fractions.  The sum runs in integers over the lcm of each
+    side's coefficient denominators, with one division at the end.
     """
     if f.n != ctx.n or g.n != ctx.n:
         raise ValueError("variable count mismatch with the pairing context")
     if f.is_laurent() or g.is_laurent():
         raise ValueError("the pairing is defined for ordinary polynomials")
-    total = Fraction(0)
-    for ef, cf in f.terms.items():
-        for eg, cg in g.terms.items():
+    (df, f_terms), (dg, g_terms) = _integer_terms(f), _integer_terms(g)
+    total = 0
+    for ef, cf in f_terms:
+        for eg, cg in g_terms:
             d = ctx.weight_coefficient(tuple(b - a for a, b in zip(ef, eg)))
             if d:
-                total += Fraction(cf) * Fraction(cg) * d
-    return total
+                total += cf * cg * d
+    return Fraction(total, df * dg)
+
+
+def _integer_terms(f: MPoly) -> tuple[int, list]:
+    """(D, [(exponent, D * coefficient)]) with D the lcm of the denominators
+    of f's rational coefficients."""
+    d = lcm(1, *(c.denominator for c in f.terms.values()))
+    return d, [(e, c.numerator * (d // c.denominator)) for e, c in f.terms.items()]
 
 
 def monomial_pairing(ctx: PairingContext, mu: Sequence[int], nu: Sequence[int]) -> int:

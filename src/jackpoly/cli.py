@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from .alphapoly import AlphaFrac
-from .compositions import degree, is_partition, length, lower_hook_product
+from .compositions import degree, is_partition, length, lower_hooks
 from .recursion import (
     CacheFormatError,
     RecursionCache,
@@ -30,6 +30,7 @@ from .render import expansion_json, format_expansion, format_poly, poly_json
 DESK_LIMIT = 8
 CACHE_FILE_PATTERN = "recursion-cache-n{n}.json"
 ENV_CACHE_DIR = "JACKPOLY_CACHE_DIR"
+DEFAULT_K_LIST = "1,2"
 
 
 class CliError(Exception):
@@ -167,7 +168,7 @@ def _cmd_compute(args) -> int:
         else:
             expansion = symmetric.j_expansion(lam, n)
             if kind == "P":
-                hooks = lower_hook_product(lam[:length(lam)])
+                hooks = lower_hooks(lam[:length(lam)])
                 expansion = symmetric.MonomialExpansion(
                     n, {mu: AlphaFrac(c, hooks) for mu, c in expansion.entries.items()})
     else:
@@ -231,7 +232,7 @@ CHECK_NAMES = list(CHECKS)
 def _run_check(name: str, args) -> list:
     from . import verify as sweeps
 
-    ks = _parse_k_list(args.k_list)
+    ks = _parse_k_list(DEFAULT_K_LIST if args.k_list is None else args.k_list)
     verdicts = []
     for function, arguments, clamp in CHECKS[name]:
         n_max = args.n_max if clamp is None else min(args.n_max, clamp)
@@ -249,6 +250,8 @@ def _cmd_verify(args) -> int:
         raise CliError(2, f"--n-max must be a positive integer, got {args.n_max}")
     if args.deg_max < 0:
         raise CliError(2, f"--deg-max must be a non-negative integer, got {args.deg_max}")
+    if args.k_list is not None and args.check != "orthogonality":
+        raise CliError(2, f"--k-list applies only to the orthogonality check, not {args.check}")
     _guard_desk_scale(args.force, n_max=args.n_max, deg_max=args.deg_max)
     verdicts = _run_check(args.check, args)
     if any(v.cases == 0 for v in verdicts):
@@ -361,7 +364,8 @@ def build_parser() -> argparse.ArgumentParser:
     # each flag only on the subcommands that read it
     cache_dir = argparse.ArgumentParser(add_help=False)
     cache_dir.add_argument("--cache-dir", default=None,
-                           help=f"directory for recursion cache files (or {ENV_CACHE_DIR})")
+                           help=f"directory for recursion cache files (or {ENV_CACHE_DIR}, "
+                                "which only compute and cache read)")
     force = argparse.ArgumentParser(add_help=False)
     force.add_argument("--force", action="store_true",
                        help="override the desk-scale guardrails")
@@ -369,7 +373,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="jackpoly",
         description="Exact Jack polynomials: two independent engines plus "
-                    "verification sweeps for their defining identities.")
+                    "verification sweeps for their defining identities.",
+        epilog=f"{ENV_CACHE_DIR} names the cache directory when --cache-dir is not "
+               "given; only compute and cache read it, verify uses no cache.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_compute = sub.add_parser("compute", parents=[cache_dir, force],
@@ -389,8 +395,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--format", choices=["json", "text"], default="text")
     p_verify.add_argument("--n-max", type=int, default=3)
     p_verify.add_argument("--deg-max", type=int, default=4)
-    p_verify.add_argument("--k-list", default="1,2",
-                          help="reciprocal alpha values for the pairing")
+    p_verify.add_argument("--k-list", default=None,
+                          help="reciprocal alpha values for the pairing, orthogonality "
+                               f"only (default {DEFAULT_K_LIST})")
 
     p_cache = sub.add_parser("cache", parents=[cache_dir],
                              help="inspect or move the recursion cache")

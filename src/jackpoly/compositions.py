@@ -10,6 +10,7 @@ symmetric group, the minimal sorting permutations by reversed Bruhat order.
 from __future__ import annotations
 
 from enum import Enum
+from math import prod
 from typing import Iterator, Sequence
 
 from .alphapoly import AlphaPoly
@@ -152,18 +153,22 @@ def upper_hook(lam: Sequence[int], box: Box) -> AlphaPoly:
     return AlphaPoly((above + below + 1, arm + 1))
 
 
+def lower_hooks(lam: Sequence[int]) -> list[AlphaPoly]:
+    """The lower hook of every box: linear factors of lower_hook_product."""
+    return [lower_hook(lam, box) for box in boxes(lam)]
+
+
+def upper_hooks(lam: Sequence[int]) -> list[AlphaPoly]:
+    """The upper hook of every box: linear factors of upper_hook_product."""
+    return [upper_hook(lam, box) for box in boxes(lam)]
+
+
 def lower_hook_product(lam: Sequence[int]) -> AlphaPoly:
-    out = AlphaPoly.ONE
-    for box in boxes(lam):
-        out = out * lower_hook(lam, box)
-    return out
+    return prod(lower_hooks(lam), start=AlphaPoly.ONE)
 
 
 def upper_hook_product(lam: Sequence[int]) -> AlphaPoly:
-    out = AlphaPoly.ONE
-    for box in boxes(lam):
-        out = out * upper_hook(lam, box)
-    return out
+    return prod(upper_hooks(lam), start=AlphaPoly.ONE)
 
 
 def eigenvalue(lam: Sequence[int], i: int) -> AlphaPoly:

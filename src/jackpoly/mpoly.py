@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, Sequence
 
-from .alphapoly import AlphaFrac, AlphaPoly
+from .alphapoly import AlphaFrac, AlphaPoly, over_common_denominator
 from . import permutations as perm
 
 
@@ -259,10 +259,11 @@ def divided_transposition(i: int, j: int, f: MPoly) -> MPoly:
     return out
 
 
-def divide_coefficients(f: MPoly, d: AlphaPoly) -> MPoly:
-    """Divide every coefficient by the polynomial d, landing in AlphaFrac."""
-    if not d:
-        raise ZeroDivisionError("division by the zero polynomial")
+def divide_coefficients(f: MPoly, d) -> MPoly:
+    """Divide every coefficient by d, landing in AlphaFrac.  d is anything
+    AlphaFrac takes as a denominator; pass a product of linear factors (such
+    as hooks) as the list of its factors, so that reduction needs no gcd."""
+    inverse = AlphaFrac(1, d)
     quotients: dict = {}
 
     def divide(c):
@@ -270,10 +271,20 @@ def divide_coefficients(f: MPoly, d: AlphaPoly) -> MPoly:
         # each distinct value is reduced once
         q = quotients.get(c)
         if q is None:
-            q = quotients[c] = AlphaFrac(c, d)
+            q = quotients[c] = inverse * c
         return q
 
     return f.map_coefficients(divide)
+
+
+def clear_denominators(f: MPoly) -> tuple[list, MPoly]:
+    """(D, D * f): D is the lcm of the coefficient denominators, as the
+    factor list divide_coefficients takes, and D * f has coefficients in
+    Z[alpha].  divide_coefficients(D * f, D) gives f back."""
+    d, coeffs = over_common_denominator(f.terms.values())
+    result = MPoly(f.n)
+    result.terms = dict(zip(f.terms, coeffs))
+    return d, result
 
 
 def specialize_alpha(f: MPoly, value) -> MPoly:

@@ -13,8 +13,7 @@ product of upper hooks over the diagram.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .alphapoly import AlphaFrac, AlphaPoly
 from .compositions import (
@@ -25,6 +24,7 @@ from .compositions import (
     raising_scalar,
     star_shape,
     upper_hook_product,
+    upper_hooks,
 )
 from .mpoly import MPoly, divide_coefficients
 from . import permutations as perm
@@ -359,7 +359,7 @@ def e_poly(lam: Sequence[int], cache: RecursionCache | None = None) -> MPoly:
     """
     lam = tuple(lam)
     f = f_poly(lam, cache)
-    e = divide_coefficients(f, upper_hook_product(lam))
+    e = divide_coefficients(f, upper_hooks(lam))
     lead = e.coefficient(lam)
     if lead != 1:
         raise ArithmeticError(f"leading coefficient of E[{lam}] is {lead}, not 1")
@@ -402,8 +402,7 @@ def creation_apply(lam: Sequence[int], f: MPoly) -> MPoly:
     return out
 
 
-@dataclass(frozen=True)
-class EqualityWitness:
+class EqualityWitness(NamedTuple):
     holds: bool
     lhs: MPoly
     rhs: MPoly

@@ -8,15 +8,13 @@ parameter prints as ``a`` in text and ``\\alpha`` in LaTeX.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .alphapoly import AlphaFrac, AlphaPoly
 from .mpoly import MPoly
 
 
-@dataclass(frozen=True)
-class Style:
+class Style(NamedTuple):
     alpha: str                        # the deformation parameter
     frac: Callable[[AlphaFrac], str]  # a coefficient that is not a polynomial
     var: str                          # variable i, from str.format(i)

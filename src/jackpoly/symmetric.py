@@ -12,10 +12,9 @@ iterated cycling image; it is exponential in n and guarded accordingly.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, lcm
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .alphapoly import AlphaFrac, AlphaPoly, ExactnessError
 from .compositions import (
@@ -25,7 +24,7 @@ from .compositions import (
     distinct_permutations,
     is_partition,
     length,
-    lower_hook_product,
+    lower_hooks,
     multiplicity_factorial,
     Ordering,
     zero_shape,
@@ -115,8 +114,7 @@ def p_poly(lam: Sequence[int], n: int) -> MPoly:
     lower hooks.  Leading monomial coefficient is exactly 1."""
     lam = tuple(lam)[:length(lam)]
     j = j_poly(lam, n)
-    hooks = lower_hook_product(lam)
-    p = divide_coefficients(j, hooks)
+    p = divide_coefficients(j, lower_hooks(lam))
     lead = p.coefficient(lam + (0,) * (n - len(lam)))
     if lead != 1:
         raise ArithmeticError(f"leading coefficient of P[{lam}] is {lead}, not 1")
@@ -153,8 +151,7 @@ def partial_monomial(mu: Sequence[int], m: int, n: int) -> MPoly:
     return out
 
 
-@dataclass(frozen=True)
-class MonomialExpansion:
+class MonomialExpansion(NamedTuple):
     """Expansion of a symmetric polynomial over monomial symmetric functions,
     keyed by partitions without trailing zeros."""
 
@@ -208,8 +205,7 @@ def expand_monomial(f: MPoly) -> MonomialExpansion:
     return MonomialExpansion(f.n, entries)
 
 
-@dataclass(frozen=True)
-class PartialSymExpansion:
+class PartialSymExpansion(NamedTuple):
     """Expansion over augmented head-fixed monomial sums: keys are full
     exponent vectors whose tail past the split index is a partition."""
 

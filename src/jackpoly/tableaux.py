@@ -16,8 +16,7 @@ check the kept-up-to-date values against them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .alphapoly import AlphaPoly
 from .compositions import (
@@ -31,20 +30,24 @@ from .mpoly import MPoly
 from .recursion import phi_k
 
 
-@dataclass(frozen=True)
-class Tableau:
-    """Labels are stored row-major, aligned with boxes(shape)."""
-
+class _TableauFields(NamedTuple):
     shape: Composition
     n: int
     labels: tuple[int, ...]
 
-    def __post_init__(self):
-        count = sum(self.shape)
-        if len(self.labels) != count:
-            raise ValueError(f"expected {count} labels, got {len(self.labels)}")
-        if any(not 1 <= v <= self.n for v in self.labels):
+
+class Tableau(_TableauFields):
+    """Labels are stored row-major, aligned with boxes(shape)."""
+
+    __slots__ = ()
+
+    def __new__(cls, shape: Composition, n: int, labels: tuple[int, ...]):
+        count = sum(shape)
+        if len(labels) != count:
+            raise ValueError(f"expected {count} labels, got {len(labels)}")
+        if any(not 1 <= v <= n for v in labels):
             raise ValueError("labels must lie in 1..n")
+        return super().__new__(cls, shape, n, labels)
 
     def _offset(self, i: int, j: int) -> int:
         if not (1 <= i <= len(self.shape) and 1 <= j <= self.shape[i - 1]):
@@ -209,8 +212,7 @@ def j_comb(lam: Sequence[int], n: int) -> MPoly:
     return _tableau_sum(shape, n, False)
 
 
-@dataclass(frozen=True)
-class TableauIdentityWitness:
+class TableauIdentityWitness(NamedTuple):
     holds: bool
     hook: AlphaPoly
     lhs: MPoly

@@ -9,10 +9,9 @@ counterexample if one exists.  All comparisons are exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .cherednik import (
     eigen_check,
@@ -44,8 +43,7 @@ from .symmetric import (
 from .tableaux import f_comb, j_comb, shift_identity_witness, swap_identity_witness
 
 
-@dataclass
-class Verdict:
+class Verdict(NamedTuple):
     check: str
     theorem: str
     params: dict

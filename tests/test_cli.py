@@ -581,3 +581,49 @@ def test_public_verify_functions_are_the_sweeps_of_checks():
     assert public == swept
     for name in swept:
         assert inspect.isfunction(getattr(verify, name)), name
+
+
+def test_k_list_only_for_orthogonality(capsys):
+    code, out, err = run(capsys, "verify", "cyclic", "--n-max", "2", "--deg-max", "2",
+                         "--k-list", "3")
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "--k-list" in err and "Traceback" not in err
+    code, out, _ = run(capsys, "verify", "orthogonality", "--n-max", "2", "--deg-max", "2",
+                       "--k-list", "3")
+    assert code == 0 and out.startswith("PASS orthogonality")
+    # without --k-list the pairing runs at the documented default
+    code, out, _ = run(capsys, "verify", "orthogonality", "--n-max", "2", "--deg-max", "2",
+                       "--format", "json")
+    assert json.loads(out)["verdicts"][0]["params"]["k_list"] == [1, 2]
+
+
+def test_cache_dir_environment_is_read_by_compute_and_cache_only(tmp_path, capsys,
+                                                                 monkeypatch):
+    not_a_dir = tmp_path / "file"
+    not_a_dir.write_text("")
+    monkeypatch.setenv(cli.ENV_CACHE_DIR, str(not_a_dir))
+    assert run(capsys, "compute", "F", "--lambda", "1,0", "--n", "2")[0] == 3
+    assert run(capsys, "cache", "stats")[0] == 3
+    code, out, _ = run(capsys, "verify", "cyclic", "--n-max", "2", "--deg-max", "2")
+    assert code == 0 and out.startswith("PASS cyclic")
+    assert cli.ENV_CACHE_DIR in cli.build_parser().format_help()
+
+
+def test_requests_do_not_import_dataclasses_or_inspect():
+    # both cost several ms of start-up per request; -S keeps site packages'
+    # own imports out of the count
+    script = (
+        "import runpy, sys\n"
+        "for argv in (['compute', 'F', '--lambda', '1,0', '--n', '2'],\n"
+        "             ['verify', 'eigen', '--n-max', '2', '--deg-max', '2']):\n"
+        "    sys.argv = ['jackpoly', *argv]\n"
+        "    try:\n"
+        "        runpy.run_module('jackpoly.cli', run_name='__main__')\n"
+        "    except SystemExit as exc:\n"
+        "        assert exc.code == 0, exc.code\n"
+        "print(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.run([sys.executable, "-S", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
