@@ -17,6 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
+from operator import sub
 from typing import NamedTuple, Sequence
 
 from .alphapoly import AlphaPoly
@@ -184,26 +185,43 @@ def orthogonality_check(lam: Sequence[int], ctx: PairingContext,
     from .symmetric import j_poly, monomial_symmetric
 
     lam = tuple(lam)
+    if len(lam) != ctx.n:
+        raise ValueError("variable count mismatch with the pairing context")
     alpha = Fraction(1, ctx.k)
-    e_spec = specialize_alpha(e_poly(lam, cache), alpha)
+    weight = ctx.delta.terms
+    # each side scaled to integer terms once, then paired with every
+    # smaller monomial (sum) as scalar_product would
+    d, terms = _integer_terms(specialize_alpha(e_poly(lam, cache), alpha))
     for mu in compositions(len(lam), degree(lam)):
         if compare(mu, lam) is not Ordering.LESS:
             continue
-        val = scalar_product(e_spec, MPoly.monomial(ctx.n, mu), ctx)
-        if val:
-            return {"side": "nonsymmetric", "mu": list(mu), "value": str(val)}
+        total = _pair_with_monomials(terms, (mu,), weight)
+        if total:
+            return {"side": "nonsymmetric", "mu": list(mu), "value": str(Fraction(total, d))}
     if is_partition(lam):
         hooks = lower_hook_product(lam).evaluate(alpha)
         j_spec = specialize_alpha(j_poly(lam, ctx.n), alpha)
-        p_spec = j_spec.map_coefficients(lambda c: c / hooks)
+        d, terms = _integer_terms(j_spec.map_coefficients(lambda c: c / hooks))
         for mu in partition_iter(degree(lam), max_len=ctx.n):
             mu_padded = mu + (0,) * (ctx.n - len(mu))
             if compare(mu_padded, lam) is not Ordering.LESS:
                 continue
-            val = scalar_product(p_spec, monomial_symmetric(mu, ctx.n), ctx)
-            if val:
-                return {"side": "symmetric", "mu": list(mu), "value": str(val)}
+            total = _pair_with_monomials(terms, monomial_symmetric(mu, ctx.n).terms, weight)
+            if total:
+                return {"side": "symmetric", "mu": list(mu), "value": str(Fraction(total, d))}
     return None
+
+
+def _pair_with_monomials(terms: list, exps, weight: dict) -> int:
+    """The numerator of scalar_product(f, g), where terms are f's integer
+    terms and g is the sum of the monomials x^g for g in exps."""
+    total = 0
+    for g in exps:
+        for e, c in terms:
+            w = weight.get(tuple(map(sub, g, e)))
+            if w:
+                total += c * w
+    return total
 
 
 def self_adjoint_check(i: int, f: MPoly, g: MPoly, ctx: PairingContext) -> bool:

@@ -37,14 +37,18 @@ class CacheFormatError(ValueError):
 
 
 class RecursionCache:
-    """Memo of computed F polynomials, keyed by composition.
+    """Memo of computed F polynomials, keyed by composition, and of the E
+    polynomials e_poly derives from them.
 
     Purely an accelerator: results are identical with a warm, cold or absent
-    cache, provided every entry is the true F (entries are trusted).
+    cache, provided every entry is the true F (entries are trusted).  Only
+    the F entries are counted, listed and written to cache files; the E memo
+    (``monic``) lives in memory only.
     """
 
     def __init__(self):
         self._data: dict[tuple[int, Composition], MPoly] = {}
+        self.monic: dict[Composition, MPoly] = {}
 
     def get(self, lam: Composition) -> MPoly | None:
         return self._data.get((len(lam), lam))
@@ -355,14 +359,21 @@ def f_poly(lam: Sequence[int], cache: RecursionCache | None = None) -> MPoly:
 def e_poly(lam: Sequence[int], cache: RecursionCache | None = None) -> MPoly:
     """The monic non-symmetric polynomial: F divided by the upper-hook product.
 
-    The coefficient of x^lam is exactly 1.
+    The coefficient of x^lam is exactly 1, checked when E is built.  With a
+    cache, each E is built once and the same object returned after that.
     """
     lam = tuple(lam)
+    if cache is not None:
+        e = cache.monic.get(lam)
+        if e is not None:
+            return e
     f = f_poly(lam, cache)
     e = divide_coefficients(f, upper_hooks(lam))
     lead = e.coefficient(lam)
     if lead != 1:
         raise ArithmeticError(f"leading coefficient of E[{lam}] is {lead}, not 1")
+    if cache is not None:
+        cache.monic[lam] = e
     return e
 
 

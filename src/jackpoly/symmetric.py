@@ -312,15 +312,25 @@ def elementary_product(parts: Sequence[int], n: int) -> MPoly:
 
 
 def _solve_fraction_system(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
-    """Solve a square system by fraction-free (Bareiss) elimination: each
-    row is scaled to integers, every elimination step divides exactly by the
-    previous pivot, and only the back substitution uses Fraction."""
-    size = len(rhs)
+    """Solve a square system with rational entries: each row, with its
+    right-hand side, is scaled to integers and handed to
+    _solve_integer_system."""
     aug = []
     for r, row in enumerate(matrix):
         row = [Fraction(x) for x in row] + [Fraction(rhs[r])]
         scale = lcm(*(x.denominator for x in row))
         aug.append([x.numerator * (scale // x.denominator) for x in row])
+    return _solve_integer_system(aug)
+
+
+def _solve_integer_system(aug: list[list[int]]) -> list[Fraction]:
+    """Solve a square system given as integer rows [A | b] by fraction-free
+    (Bareiss) elimination: every elimination step divides exactly by the
+    previous pivot.  The last pivot D is det(A) up to sign, so D * x is an
+    integer vector (Cramer's rule); back substitution computes it with
+    exact integer divisions, and each unknown is one Fraction(D * x_r, D).
+    The rows are consumed."""
+    size = len(aug)
     prev = 1
     for col in range(size):
         pivot = next((r for r in range(col, size) if aug[r][col]), None)
@@ -336,11 +346,12 @@ def _solve_fraction_system(matrix: list[list[Fraction]], rhs: list[Fraction]) ->
             aug[r] = [0] * (col + 1) + [(p * a - f * b) // prev
                                         for a, b in zip(row[col + 1:], top[col + 1:])]
         prev = p
-    out = [Fraction(0)] * size
+    scaled = [0] * size
     for r in range(size - 1, -1, -1):
         row = aug[r]
-        out[r] = (row[size] - sum(row[j] * out[j] for j in range(r + 1, size))) / Fraction(row[r])
-    return out
+        scaled[r] = (prev * row[size] - sum(row[j] * scaled[j] for j in range(r + 1, size))) \
+            // row[r]
+    return [Fraction(x, prev) for x in scaled]
 
 
 def gram_schmidt_e(lam: Sequence[int], k: int) -> MPoly:
@@ -358,9 +369,10 @@ def gram_schmidt_e(lam: Sequence[int], k: int) -> MPoly:
     out.terms[lam] = Fraction(1)
     if not lower:
         return out
-    matrix = [[Fraction(monomial_pairing(ctx, mu, nu)) for mu in lower] for nu in lower]
-    rhs = [-Fraction(monomial_pairing(ctx, lam, nu)) for nu in lower]
-    coeffs = _solve_fraction_system(matrix, rhs)
+    # every pairing of two monomials is an integer
+    rows = [[monomial_pairing(ctx, mu, nu) for mu in lower] + [-monomial_pairing(ctx, lam, nu)]
+            for nu in lower]
+    coeffs = _solve_integer_system(rows)
     for mu, c in zip(lower, coeffs):
         if c:
             out.terms[mu] = c

@@ -16,7 +16,7 @@ check the kept-up-to-date values against them.
 
 from __future__ import annotations
 
-from typing import Iterator, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .alphapoly import AlphaPoly
 from .compositions import (
@@ -219,11 +219,15 @@ class TableauIdentityWitness(NamedTuple):
     rhs: MPoly
 
 
-def swap_identity_witness(lam: Sequence[int], i: int) -> TableauIdentityWitness:
+def swap_identity_witness(lam: Sequence[int], i: int,
+                          comb: Callable[[Composition], MPoly] = f_comb
+                          ) -> TableauIdentityWitness:
     """Raw tableau-sum identity for swapping a zero part below a nonzero one:
     with lam_i = 0 < lam_{i+1} and h the upper hook at box (i+1, 1),
 
         h * sum(swapped shape) == (h - 1) * (swap of sum) + sum.
+
+    comb computes each sum; a sweep passes a memo of f_comb.
     """
     lam = tuple(lam)
     if not 1 <= i <= len(lam) - 1:
@@ -231,22 +235,26 @@ def swap_identity_witness(lam: Sequence[int], i: int) -> TableauIdentityWitness:
     if not (lam[i - 1] == 0 and lam[i] > 0):
         raise ValueError(f"need lam_{i} = 0 and lam_{i + 1} > 0")
     hook = upper_hook(lam, (i + 1, 1))
-    base = f_comb(lam)
+    base = comb(lam)
     swapped = lam[: i - 1] + (lam[i], 0) + lam[i + 1:]
-    lhs = f_comb(swapped).scale(hook)
+    lhs = comb(swapped).scale(hook)
     rhs = base.swap(i, i + 1).scale(hook - 1) + base
     return TableauIdentityWitness(lhs == rhs, hook, lhs, rhs)
 
 
-def shift_identity_witness(lam: Sequence[int]) -> TableauIdentityWitness:
+def shift_identity_witness(lam: Sequence[int],
+                           comb: Callable[[Composition], MPoly] = f_comb
+                           ) -> TableauIdentityWitness:
     """Raw tableau-sum identity for the cycled-and-raised shape: with h the
     upper hook at box (n, 1) of the shifted shape,
 
         sum(shifted shape) == h * Phi_n(sum).
+
+    comb computes each sum, as in swap_identity_witness.
     """
     lam = tuple(lam)
     shifted = phi_shift(lam)
     hook = upper_hook(shifted, (len(lam), 1))
-    lhs = f_comb(shifted)
-    rhs = phi_k(len(lam), f_comb(lam)).scale(hook)
+    lhs = comb(shifted)
+    rhs = phi_k(len(lam), comb(lam)).scale(hook)
     return TableauIdentityWitness(lhs == rhs, hook, lhs, rhs)

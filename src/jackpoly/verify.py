@@ -312,15 +312,24 @@ def cyclic_consistency(n_max: int, deg_max: int,
 
 def l2l3(n_max: int, deg_max: int) -> Verdict:
     """The two raw tableau-sum recurrences: swapping a zero part below a
-    nonzero one, and cycling with a raise."""
+    nonzero one, and cycling with a raise.  Each tableau sum is computed
+    once per sweep; the memo goes with the sweep."""
 
     def outcomes():
+        sums: dict = {}
+
+        def comb(lam):
+            f = sums.get(lam)
+            if f is None:
+                f = sums[lam] = f_comb(lam)
+            return f
+
         for lam in _compositions(1, n_max, deg_max):
             for i in range(1, len(lam)):
                 if lam[i - 1] == 0 and lam[i] > 0:
-                    yield 1, None if swap_identity_witness(lam, i).holds else {
+                    yield 1, None if swap_identity_witness(lam, i, comb=comb).holds else {
                         "identity": "swap", "lambda": list(lam), "i": i}
-            yield 1, None if shift_identity_witness(lam).holds else {
+            yield 1, None if shift_identity_witness(lam, comb=comb).holds else {
                 "identity": "shift", "lambda": list(lam)}
 
     return _verdict("l2l3", "tableau-sum-recurrences",

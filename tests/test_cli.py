@@ -1,3 +1,4 @@
+import hashlib
 import inspect
 import json
 import os
@@ -411,6 +412,30 @@ def test_compute_rewrites_only_files_that_gained_entries(tmp_path, capsys):
     assert code == 0 and warm
     assert n3.stat().st_mtime_ns == 10**9
     assert sorted(p.name for p in cache_dir.iterdir()) == [n2.name, n3.name]
+
+
+# sha256 of the cache file that compute E writes into an empty directory,
+# recorded before E was memoized beside F: the memo never reaches the file
+E_CACHE_FILES = {
+    ("2,0,1", "3"): "1009df74c02332a44ff744a3f46e1caafb4ab28a0cd7a32feb33b3d5e0dad248",
+    ("0,2,1,0", "4"): "b902a146aa65706d45282968b2d0a0ac70fe5f15988c9b12f7b109fe15be57fd",
+}
+
+
+@pytest.mark.parametrize("lam,n", list(E_CACHE_FILES))
+def test_compute_e_writes_only_f_entries(tmp_path, capsys, lam, n):
+    stats = {}
+    for kind in ("E", "F"):
+        cache_dir = tmp_path / kind
+        code, _, _ = run(capsys, "compute", kind, "--lambda", lam, "--n", n,
+                         "--cache-dir", str(cache_dir))
+        assert code == 0
+        data = (cache_dir / f"recursion-cache-n{n}.json").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == E_CACHE_FILES[(lam, n)]
+        code, stats[kind], _ = run(capsys, "cache", "stats", "--cache-dir", str(cache_dir))
+        assert code == 0
+    # cache stats counts the F entries of the star chain, the same after E as after F
+    assert stats["E"] == stats["F"]
 
 
 def test_symmetric_kinds_write_no_cache_files(tmp_path, capsys):

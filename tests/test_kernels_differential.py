@@ -16,7 +16,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from jackpoly.alphapoly import AlphaPoly, ExactnessError, exact_poly_div
+from jackpoly.cherednik import monomial_pairing, pairing_context
 from jackpoly.compositions import (
+    Ordering,
+    compare,
+    compositions,
     compositions_up_to,
     length,
     partitions,
@@ -34,6 +38,7 @@ from jackpoly.recursion import (
 )
 from jackpoly.symmetric import (
     _solve_fraction_system,
+    _solve_integer_system,
     expand_monomial,
     j_expansion,
     j_poly,
@@ -343,3 +348,41 @@ def test_fraction_free_solve_matches_gauss_jordan(system):
     want = _solve_outcome(gauss_jordan_solve, matrix, rhs)
     got = _solve_outcome(_solve_fraction_system, matrix, rhs)
     assert got == want
+
+
+@st.composite
+def integer_systems(draw):
+    size = draw(st.integers(1, 6))
+    rows = [draw(st.lists(st.integers(-9, 9), min_size=size + 1, max_size=size + 1))
+            for _ in range(size)]
+    if size > 1 and draw(st.booleans()):
+        rows[-1] = [2 * a for a in rows[0][:size]] + [rows[-1][size]]
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(integer_systems())
+def test_integer_rows_solve_like_the_fraction_path(rows):
+    matrix = [[Fraction(a) for a in row[:-1]] for row in rows]
+    rhs = [Fraction(row[-1]) for row in rows]
+    want = _solve_outcome(_solve_fraction_system, matrix, rhs)
+    assert want == _solve_outcome(gauss_jordan_solve, matrix, rhs)
+    try:
+        got = _solve_integer_system([row[:] for row in rows])
+    except ArithmeticError:
+        got = ArithmeticError
+    assert got == want
+
+
+def test_pairing_systems_solve_like_the_fraction_path():
+    # the systems gram_schmidt_e builds, in both forms
+    for lam, k in [((2, 1, 0), 1), ((0, 2, 1), 2), ((1, 2, 1), 3), ((2, 0, 1, 1), 2)]:
+        ctx = pairing_context(len(lam), k)
+        lower = sorted((mu for mu in compositions(len(lam), sum(lam))
+                        if compare(mu, lam) is Ordering.LESS), reverse=True)
+        rows = [[monomial_pairing(ctx, mu, nu) for mu in lower]
+                + [-monomial_pairing(ctx, lam, nu)] for nu in lower]
+        matrix = [[Fraction(a) for a in row[:-1]] for row in rows]
+        rhs = [Fraction(row[-1]) for row in rows]
+        assert _solve_integer_system(rows) == _solve_fraction_system(matrix, rhs) \
+            == gauss_jordan_solve(matrix, rhs)

@@ -208,3 +208,32 @@ def test_cache_stats_helpers():
     f_poly((1, 0, 0), cache)
     assert cache.variable_counts() == [2, 3]
     assert len(cache) == len(cache.entries(2)) + len(cache.entries(3))
+
+
+# -- the in-memory E memo ----------------------------------------------------
+
+
+def test_e_memo_returns_the_stored_object():
+    cache = RecursionCache()
+    first = e_poly((0, 2, 1), cache)
+    assert e_poly((0, 2, 1), cache) is first
+    assert first == e_poly((0, 2, 1))
+
+
+def test_e_memo_is_not_an_f_entry():
+    cache = RecursionCache()
+    f_poly((2, 0, 1), cache)
+    counts, document = cache.entry_counts(), cache_document(cache, 3)
+    e_poly((2, 0, 1), cache)
+    assert cache.entry_counts() == counts and len(cache) == sum(counts.values())
+    assert cache_document(cache, 3) == document
+
+
+def test_lead_check_runs_when_e_is_first_built():
+    cache = RecursionCache()
+    lam = (1, 0)
+    cache.put(lam, f_poly(lam).scale(2))
+    for _ in range(2):
+        with pytest.raises(ArithmeticError, match="leading coefficient"):
+            e_poly(lam, cache)
+    assert lam not in cache.monic

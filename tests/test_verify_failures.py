@@ -25,7 +25,7 @@ def _zero(real, lam, n, *rest):
     return MPoly(n)
 
 
-def _fails(real, *args):
+def _fails(real, *args, **kwargs):
     return SimpleNamespace(holds=False)
 
 
@@ -208,10 +208,13 @@ CASES = [
 
 
 def _break(monkeypatch, name, bad, result):
+    """Replace a name of jackpoly.verify.  bad sees the positional arguments;
+    keyword arguments, such as the l2l3 sweep's tableau-sum memo, are passed
+    on to result and to the real function."""
     real = getattr(verify, name)
 
-    def broken(*args):
-        return result(real, *args) if bad(*args) else real(*args)
+    def broken(*args, **kwargs):
+        return result(real, *args, **kwargs) if bad(*args) else real(*args, **kwargs)
 
     monkeypatch.setattr(verify, name, broken)
 
