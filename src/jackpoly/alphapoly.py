@@ -1,19 +1,18 @@
 """Exact arithmetic in the deformation parameter.
 
 ``AlphaPoly`` is an integer polynomial in the formal parameter alpha, stored
-densely by increasing power.  ``AlphaFrac`` is a reduced quotient of two such
-polynomials, i.e. an element of the rational-function field Q(alpha).  Both
-are immutable values with arbitrary-precision arithmetic; ints coerce freely.
+densely by increasing power.  ``AlphaFrac`` is a reduced quotient of such a
+polynomial by a product of factors linear in alpha.  Both are immutable
+values with arbitrary-precision arithmetic; ints coerce freely.
 
-Every denominator the package builds is a product of factors linear in
-alpha: hooks, spectral gaps and integers.  So an ``AlphaFrac`` keeps its
-denominator split into an integer content, a sorted tuple of primitive
-linear factors and a primitive remainder.  A fraction is reduced by
-trial-dividing its numerator by each linear factor, sums are taken over the
-lcm of the two factor multisets, and the expanded ``den`` is built only when
-something reads it.  The remainder is 1 unless a caller divides by a
-polynomial of degree >= 2; only such a remainder goes through the general
-pseudo-remainder gcd, ``poly_gcd``.
+Every denominator in the paper's formulas is such a product: hooks,
+spectral gaps and integers.  So an ``AlphaFrac`` keeps its denominator as
+an integer content times a sorted tuple of primitive linear factors, and
+nothing else.  A fraction is reduced by trial-dividing its numerator by
+each linear factor, sums are taken over the lcm of the two factor
+multisets, and the expanded ``den`` is built only when something reads it.
+A denominator polynomial of degree >= 2 is refused with ``ValueError``;
+pass its linear factors as a list instead.
 """
 
 from __future__ import annotations
@@ -149,17 +148,7 @@ class AlphaPoly:
             exponent >>= 1
         return result
 
-    # -- content and exact division --------------------------------------
-
-    def content(self) -> int:
-        """Gcd of the integer coefficients (0 for the zero polynomial)."""
-        return gcd(*self.coeffs)
-
-    def primitive_part(self) -> "AlphaPoly":
-        c = self.content()
-        if c <= 1:
-            return self
-        return AlphaPoly(tuple(x // c for x in self.coeffs))
+    # -- exact division --------------------------------------------------
 
     def exact_scalar_div(self, k: int) -> "AlphaPoly":
         if k == 0:
@@ -208,10 +197,6 @@ class AlphaPoly:
     def to_json(self) -> list[str]:
         return [str(c) for c in self.coeffs]
 
-    @classmethod
-    def from_json(cls, data) -> "AlphaPoly":
-        return cls(tuple(int(c) for c in data))
-
 
 AlphaPoly.ZERO = AlphaPoly(())
 AlphaPoly.ONE = AlphaPoly((1,))
@@ -227,75 +212,10 @@ def _horner(coeffs: tuple, n: int, d: int) -> int:
     return total
 
 
-def _pseudo_rem(f: tuple, g: tuple) -> tuple:
-    """Pseudo-remainder of dense integer coefficient lists: lc(g)^(df-dg+1) f mod g."""
-    r = list(f)
-    dg = len(g) - 1
-    lg = g[-1]
-    while len(r) - 1 >= dg and any(r):
-        while r and r[-1] == 0:
-            r.pop()
-        if len(r) - 1 < dg:
-            break
-        lr = r[-1]
-        shift = len(r) - 1 - dg
-        r = [c * lg for c in r]
-        for i, gc in enumerate(g):
-            r[shift + i] -= lr * gc
-        r.pop()
-    while r and r[-1] == 0:
-        r.pop()
-    return tuple(r)
-
-
-def poly_gcd(f: AlphaPoly, g: AlphaPoly) -> AlphaPoly:
-    """Primitive gcd with positive leading coefficient (of the primitive parts)."""
-    if not f:
-        f, g = g, f
-    f, g = f.primitive_part().coeffs, g.primitive_part().coeffs
-    while g:
-        f, g = g, AlphaPoly(_pseudo_rem(f, g)).primitive_part().coeffs
-    return AlphaPoly(tuple(-c for c in f) if f and f[-1] < 0 else f)
-
-
-def exact_poly_div(f: AlphaPoly, g: AlphaPoly) -> AlphaPoly:
-    """Exact polynomial quotient f / g in Z[alpha]; raises if inexact.
-
-    Integer long division with divmod.  It raises at the first quotient
-    digit that is not an integer, or on a nonzero remainder: exactly the
-    cases in which long division over Q gives a quotient outside Z[alpha]
-    or leaves a remainder.
-    """
-    if not g:
-        raise ZeroDivisionError("division by zero polynomial")
-    if not f:
-        return AlphaPoly.ZERO
-    rem = list(f.coeffs)
-    gc = g.coeffs
-    dg = len(gc) - 1
-    lg = gc[-1]
-    quot = [0] * (len(rem) - dg)
-    for shift in range(len(rem) - 1 - dg, -1, -1):
-        top = rem[shift + dg]
-        if not top:
-            continue
-        q, r = divmod(top, lg)
-        if r:
-            raise ExactnessError(f"({f}) is not divisible by ({g})")
-        quot[shift] = q
-        for i in range(dg):
-            rem[shift + i] -= q * gc[i]
-    if any(rem[:dg]):
-        raise ExactnessError(f"({f}) is not divisible by ({g})")
-    return AlphaPoly(quot)
-
-
 # -- denominators split into linear factors ------------------------------------
 #
 # A linear factor is a pair (q, p) standing for p*alpha + q, primitive, with
 # p > 0.  A factor tuple is sorted, so equal multisets are equal tuples.
-
-_ONE = (1,)
 
 
 def _times_linear(coeffs, factor) -> list:
@@ -352,53 +272,47 @@ def _lcm(a: tuple, b: tuple) -> tuple[tuple, list, list]:
     return tuple(sorted(a + tuple(missing_a))), missing_a, missing_b
 
 
-def _split(den) -> tuple[int, list, tuple]:
-    """(c, linear factors, remainder) with den = c * prod(factors) *
-    remainder, for den an int, an AlphaPoly or a sequence of them.  c is a
-    nonzero int carrying the sign; the remainder is primitive with a
-    positive leading coefficient."""
+def _split(den) -> tuple[int, list]:
+    """(c, linear factors) with den = c * prod(factors), for den an int, an
+    AlphaPoly or a sequence of them.  c is a nonzero int carrying the sign.
+    A polynomial of degree >= 2 raises ValueError."""
     if isinstance(den, (list, tuple)):
-        c, lin, rem = 1, [], _ONE
+        c, lin = 1, []
         for factor in den:
-            fc, fl, fr = _split(factor)
+            fc, fl = _split(factor)
             c *= fc
             lin += fl
-            if fr != _ONE:
-                rem = (AlphaPoly(rem) * AlphaPoly(fr)).coeffs
-        return c, lin, rem
+        return c, lin
     coeffs = den.coeffs if isinstance(den, AlphaPoly) else (den,) if den else ()
     if not coeffs:
         raise ZeroDivisionError("zero denominator")
     if len(coeffs) == 1:
-        return coeffs[0], [], _ONE
+        return coeffs[0], []
+    if len(coeffs) > 2:
+        raise ValueError(f"denominator {AlphaPoly(coeffs)} has degree {len(coeffs) - 1}: "
+                         "pass its linear factors as a list")
     g = gcd(*coeffs)
     if coeffs[-1] < 0:
         g = -g
-    prim = tuple(x // g for x in coeffs)
-    return (g, [prim], _ONE) if len(coeffs) == 2 else (g, [], prim)
+    return g, [(coeffs[0] // g, coeffs[1] // g)]
 
 
-def _reduced(num, c: int, lin: tuple, rem: tuple) -> tuple:
-    """The canonical parts of num / (c * prod(lin) * rem), given c > 0 and a
+def _reduced(num, c: int, lin: tuple) -> tuple:
+    """The canonical parts of num / (c * prod(lin)), given c > 0 and a
     numerator (a coefficient sequence) with no factor in lin."""
     num = AlphaPoly(num)
     if not num:
-        return num, 1, (), _ONE
-    if rem != _ONE:
-        g = poly_gcd(num, AlphaPoly(rem))
-        if g.degree > 0:
-            num = exact_poly_div(num, g)
-            rem = exact_poly_div(AlphaPoly(rem), g).coeffs
+        return num, 1, ()
     k = gcd(c, *num.coeffs)
     if k > 1:
         num = AlphaPoly(tuple(x // k for x in num.coeffs))
         c //= k
-    return num, c, lin, rem
+    return num, c, lin
 
 
-def _new(num: AlphaPoly, c: int, lin: tuple, rem: tuple, den=None) -> "AlphaFrac":
+def _new(num: AlphaPoly, c: int, lin: tuple, den=None) -> "AlphaFrac":
     """An AlphaFrac from parts already in canonical form."""
-    return object.__new__(AlphaFrac)._set(num, c, lin, rem, den)
+    return object.__new__(AlphaFrac)._set(num, c, lin, den)
 
 
 def _widen(x: "AlphaFrac", c: int, factors) -> AlphaPoly:
@@ -412,13 +326,16 @@ def _widen(x: "AlphaFrac", c: int, factors) -> AlphaPoly:
 
 
 class AlphaFrac:
-    """Reduced quotient of integer polynomials in alpha.
+    """Reduced quotient of an integer polynomial in alpha by a product of
+    linear factors.
 
-    The canonical form is unique: numerator and denominator have no common
-    polynomial factor over Q, their integer contents are coprime, and the
-    denominator has a positive leading coefficient.  The denominator may be
-    given as an int, an AlphaPoly, or a sequence of them (for instance hook
-    factors); a degree-1 polynomial is a known linear factor.
+    The canonical form is unique: the numerator has no factor in common with
+    the denominator, their integer contents are coprime, and the denominator
+    has a positive leading coefficient.  The denominator may be given as an
+    int, an AlphaPoly of degree <= 1, or a sequence of them (for instance
+    hook factors).  A polynomial of degree >= 2 raises ValueError, whether
+    it is passed as a denominator or reached by dividing by a fraction whose
+    numerator it is; pass its linear factors as a list instead.
 
     >>> a = AlphaPoly.ALPHA
     >>> AlphaFrac(a * a - 1, a + 1) == a - 1
@@ -429,14 +346,14 @@ class AlphaFrac:
     '1/(2a+1)'
     """
 
-    __slots__ = ("num", "_c", "_lin", "_rem", "_den")
+    __slots__ = ("num", "_c", "_lin", "_den")
 
     ZERO: "AlphaFrac"
     ONE: "AlphaFrac"
 
     def __init__(self, num, den=1):
         num = num if isinstance(num, AlphaPoly) else AlphaPoly(num)
-        c, lin, rem = _split(den)
+        c, lin = _split(den)
         coeffs = num.coeffs
         if c < 0:
             c = -c
@@ -444,21 +361,20 @@ class AlphaFrac:
         lin = tuple(sorted(lin))
         if lin and coeffs:
             coeffs, lin = _cancel(coeffs, lin)
-        self._set(*_reduced(coeffs, c, lin, rem))
+        self._set(*_reduced(coeffs, c, lin))
 
-    def _set(self, num, c, lin, rem, den=None) -> "AlphaFrac":
-        self.num, self._c, self._lin, self._rem, self._den = num, c, lin, rem, den
+    def _set(self, num, c, lin, den=None) -> "AlphaFrac":
+        self.num, self._c, self._lin, self._den = num, c, lin, den
         return self
 
     @property
     def den(self) -> AlphaPoly:
         """The expanded denominator, built on first use."""
         if self._den is None:
-            coeffs = self._rem
+            coeffs = (self._c,)
             for factor in self._lin:
                 coeffs = _times_linear(coeffs, factor)
-            c = self._c
-            self._den = AlphaPoly(tuple(c * x for x in coeffs))
+            self._den = AlphaPoly(coeffs)
         return self._den
 
     # -- queries ---------------------------------------------------------
@@ -467,15 +383,12 @@ class AlphaFrac:
         return bool(self.num)
 
     def is_polynomial(self) -> bool:
-        return self._c == 1 and not self._lin and self._rem == _ONE
+        return self._c == 1 and not self._lin
 
     def __eq__(self, other):
         if isinstance(other, AlphaFrac):
-            if self._rem == other._rem == _ONE:
-                # the linear factorisation of a denominator is unique
-                return (self._lin == other._lin and self._c == other._c
-                        and self.num == other.num)
-            return self.num == other.num and self.den == other.den
+            # the linear factorisation of a denominator is unique
+            return self._lin == other._lin and self._c == other._c and self.num == other.num
         if isinstance(other, (AlphaPoly, int)):
             return self.is_polynomial() and self.num == other
         return NotImplemented
@@ -492,7 +405,7 @@ class AlphaFrac:
         if isinstance(other, int):
             other = AlphaPoly(other)
         if isinstance(other, AlphaPoly):
-            return _new(other, 1, (), _ONE, AlphaPoly.ONE)
+            return _new(other, 1, (), AlphaPoly.ONE)
         return None
 
     def __add__(self, other):
@@ -505,18 +418,14 @@ class AlphaFrac:
             return other
         lin, to_self, to_other = _lcm(self._lin, other._lin)
         c = lcm(self._c, other._c)
-        left, right = _widen(self, c, to_self), _widen(other, c, to_other)
-        rem = self._rem
-        if other._rem != rem:
-            left, right = left * AlphaPoly(other._rem), right * AlphaPoly(rem)
-            rem = (AlphaPoly(rem) * AlphaPoly(other._rem)).coeffs
-        coeffs, lin = _cancel((left + right).coeffs, lin)
-        return _new(*_reduced(coeffs, c, lin, rem))
+        total = _widen(self, c, to_self) + _widen(other, c, to_other)
+        coeffs, lin = _cancel(total.coeffs, lin)
+        return _new(*_reduced(coeffs, c, lin))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _new(-self.num, self._c, self._lin, self._rem, self._den)
+        return _new(-self.num, self._c, self._lin, self._den)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -539,20 +448,16 @@ class AlphaFrac:
         # each numerator is already free of its own denominator's factors
         left, lin_other = _cancel(self.num.coeffs, other._lin)
         right, lin_self = _cancel(other.num.coeffs, self._lin)
-        if self._rem == _ONE or other._rem == _ONE:
-            rem = other._rem if self._rem == _ONE else self._rem
-        else:
-            rem = (AlphaPoly(self._rem) * AlphaPoly(other._rem)).coeffs
         return _new(*_reduced((AlphaPoly(left) * AlphaPoly(right)).coeffs,
-                              self._c * other._c, tuple(sorted(lin_self + lin_other)), rem))
+                              self._c * other._c, tuple(sorted(lin_self + lin_other))))
 
     __rmul__ = __mul__
 
     def _inverse(self) -> "AlphaFrac":
         # numerator and denominator are coprime, so swapping them needs no
         # reduction; only the sign moves back to the numerator
-        c, lin, rem = _split(self.num)
-        return _new(self.den if c > 0 else -self.den, abs(c), tuple(lin), rem)
+        c, lin = _split(self.num)
+        return _new(self.den if c > 0 else -self.den, abs(c), tuple(lin))
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -568,15 +473,16 @@ class AlphaFrac:
 
     def evaluate(self, value) -> Fraction:
         """The value at an int or Fraction, as a Fraction: integer Horner on
-        the homogenised numerator and denominator, divided once."""
+        the homogenised numerator and the factored denominator, divided
+        once."""
         value = Fraction(value)
         n, d = value.numerator, value.denominator
         top = _horner(self.num.coeffs, n, d)
-        bottom = self._c * _horner(self._rem, n, d)
+        bottom = self._c
         for q, p in self._lin:
             bottom *= p * n + q * d
         # top / d^deg(num) over bottom / d^deg(den)
-        shift = len(self._lin) + len(self._rem) - len(self.num.coeffs)
+        shift = len(self._lin) + 1 - len(self.num.coeffs)
         if shift >= 0:
             return Fraction(top * d ** shift, bottom)
         return Fraction(top, bottom * d ** -shift)
@@ -603,10 +509,6 @@ class AlphaFrac:
     def to_json(self) -> dict:
         return {"num": self.num.to_json(), "den": self.den.to_json()}
 
-    @classmethod
-    def from_json(cls, data) -> "AlphaFrac":
-        return cls(AlphaPoly.from_json(data["num"]), AlphaPoly.from_json(data["den"]))
-
 
 AlphaFrac.ZERO = AlphaFrac(0)
 AlphaFrac.ONE = AlphaFrac(1)
@@ -616,19 +518,11 @@ def over_common_denominator(values) -> tuple[list, list[AlphaPoly]]:
     """(D, [D * v for v in values]) with D the lcm of the denominators of
     values (AlphaFrac, AlphaPoly or int), so every product lies in
     Z[alpha].  D is a factor list that AlphaFrac takes as a denominator: an
-    int, then linear factors.  A remainder of degree >= 2 enters D once per
-    distinct value: a common multiple, not always the least."""
+    int, then linear factors."""
     fracs = [v if isinstance(v, AlphaFrac) else AlphaFrac(v) for v in values]
     c = lcm(1, *(x._c for x in fracs))
     lin = ()
     for x in fracs:
         lin = _lcm(lin, x._lin)[0]
-    rem = AlphaPoly.ONE
-    for r in dict.fromkeys(x._rem for x in fracs if x._rem != _ONE):
-        rem = rem * AlphaPoly(r)
     out = [_widen(x, c, _lcm(x._lin, lin)[1]) for x in fracs]
-    factors = [c, *(AlphaPoly(f) for f in lin)]
-    if rem != 1:
-        out = [num * exact_poly_div(rem, AlphaPoly(x._rem)) for num, x in zip(out, fracs)]
-        factors.append(rem)
-    return factors, out
+    return [c, *(AlphaPoly(f) for f in lin)], out

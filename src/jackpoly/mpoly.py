@@ -94,9 +94,6 @@ class MPoly:
     def constant_term(self):
         return self.terms.get((0,) * self.n, 0)
 
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
-
     def is_laurent(self) -> bool:
         return any(any(x < 0 for x in e) for e in self.terms)
 

@@ -1,20 +1,17 @@
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import given, strategies as st
 
-from jackpoly.alphapoly import (
-    AlphaFrac,
-    AlphaPoly,
-    ExactnessError,
-    exact_poly_div,
-    poly_gcd,
-)
+from jackpoly.alphapoly import AlphaFrac, AlphaPoly, ExactnessError
 
 A = AlphaPoly.ALPHA
 
 alpha_polys = st.lists(st.integers(-9, 9), max_size=5).map(AlphaPoly)
-nonzero_polys = alpha_polys.filter(bool)
+linear = st.tuples(st.integers(-6, 6), st.integers(-4, 4).filter(bool)).map(AlphaPoly)
+# a denominator as the list of its factors: nonzero ints and linear polynomials
+factor_lists = st.lists(st.one_of(linear, st.integers(-6, 6).filter(bool)), max_size=4)
 
 
 def test_normalization_drops_leading_zeros():
@@ -44,35 +41,12 @@ def test_degree_and_leading():
     assert (2 * A * A + 1).leading == 2
 
 
-def test_content_primitive():
-    p = AlphaPoly((2, 4, 6))
-    assert p.content() == 2
-    assert p.primitive_part() == AlphaPoly((1, 2, 3))
-    assert AlphaPoly.ZERO.content() == 0
-
-
 def test_exact_scalar_div():
     assert AlphaPoly((2, 4)).exact_scalar_div(2) == 2 * A + 1
     with pytest.raises(ExactnessError):
         AlphaPoly((1, 2)).exact_scalar_div(2)
     with pytest.raises(ZeroDivisionError):
         AlphaPoly((2,)).exact_scalar_div(0)
-
-
-def test_exact_poly_div():
-    assert exact_poly_div(A * A - 1, A + 1) == A - 1
-    assert exact_poly_div(AlphaPoly.ZERO, A + 1) == 0
-    with pytest.raises(ExactnessError):
-        exact_poly_div(A + 2, A + 1)
-    with pytest.raises(ZeroDivisionError):
-        exact_poly_div(A, AlphaPoly.ZERO)
-
-
-def test_poly_gcd():
-    assert poly_gcd(A * A - 1, A + 1) == A + 1
-    assert poly_gcd(2 * A + 2, 4 * A + 4) == A + 1
-    assert poly_gcd(A + 1, A + 2) == 1
-    assert poly_gcd(AlphaPoly.ZERO, -2 * A - 2) == A + 1
 
 
 def test_evaluate():
@@ -91,7 +65,6 @@ def test_format():
 
 def test_json_round_trip():
     p = AlphaPoly((10**30, -2, 3))
-    assert AlphaPoly.from_json(p.to_json()) == p
     assert p.to_json() == [str(10**30), "-2", "3"]
 
 
@@ -149,23 +122,27 @@ def test_frac_format():
 
 def test_frac_json_round_trip():
     f = AlphaFrac(A + 3, 2 * A + 1)
-    assert AlphaFrac.from_json(f.to_json()) == f
+    assert f.to_json() == {"num": ["3", "1"], "den": ["1", "2"]}
 
 
-@given(alpha_polys, nonzero_polys, nonzero_polys)
+@given(alpha_polys, factor_lists, factor_lists)
 def test_frac_canonical_form_unique(num, den, scale):
     # the same fraction built two ways has an identical representation
     direct = AlphaFrac(num, den)
-    scaled = AlphaFrac(num * scale, den * scale)
+    scaled = AlphaFrac(num * prod(scale, start=AlphaPoly.ONE), den + scale)
     assert direct.num == scaled.num and direct.den == scaled.den
 
 
-@given(alpha_polys, nonzero_polys, alpha_polys, nonzero_polys)
+@given(alpha_polys, factor_lists, alpha_polys, factor_lists)
 def test_frac_field_ops(a, b, c, d):
     x = AlphaFrac(a, b)
     y = AlphaFrac(c, d)
     assert x + y == y + x
     assert x * y == y * x
     assert (x + y) - y == x
-    if y:
+    if y.num.degree >= 2:
+        # its numerator would become a denominator of degree >= 2
+        with pytest.raises(ValueError):
+            x / y
+    elif y:
         assert (x / y) * y == x

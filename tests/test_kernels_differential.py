@@ -1,12 +1,11 @@
 """Differential tests: the integer kernels against the code they replaced.
 
 Each reference below is a verbatim copy of the earlier implementation:
-long division over Fraction, the raising step over AlphaPoly objects, the
-orbit-subtracting monomial expansion and the Fraction Gauss-Jordan solve.
-The tail-symmetric walk is compared with the restriction route, which the
-package keeps as an oracle.  The default run covers n <= 6 and degree <= 6
-(n <= 7 for the walk); the ``slow`` group (``pytest -m slow``) widens the
-same comparisons.
+the raising step over AlphaPoly objects, the orbit-subtracting monomial
+expansion and the Fraction Gauss-Jordan solve.  The tail-symmetric walk is
+compared with the restriction route, which the package keeps as an oracle.
+The default run covers n <= 6 and degree <= 6 (n <= 7 for the walk); the
+``slow`` group (``pytest -m slow``) widens the same comparisons.
 """
 
 import json
@@ -15,7 +14,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from jackpoly.alphapoly import AlphaPoly, ExactnessError, exact_poly_div
+from jackpoly.alphapoly import AlphaPoly
 from jackpoly.cherednik import monomial_pairing, pairing_context
 from jackpoly.compositions import (
     Ordering,
@@ -49,31 +48,6 @@ from jackpoly.symmetric import (
 
 
 # -- the replaced implementations -----------------------------------------------
-
-
-def fraction_poly_div(f: AlphaPoly, g: AlphaPoly) -> AlphaPoly:
-    if not g:
-        raise ZeroDivisionError("division by zero polynomial")
-    if not f:
-        return AlphaPoly.ZERO
-    rem = [Fraction(c) for c in f.coeffs]
-    dg = g.degree
-    lg = g.leading
-    quot = [Fraction(0)] * (len(rem) - dg)
-    while len(rem) - 1 >= dg:
-        while rem and rem[-1] == 0:
-            rem.pop()
-        if len(rem) - 1 < dg:
-            break
-        q = rem[-1] / lg
-        shift = len(rem) - 1 - dg
-        quot[shift] = q
-        for i, gc in enumerate(g.coeffs):
-            rem[shift + i] -= q * gc
-        rem.pop()
-    if any(rem) or any(q.denominator != 1 for q in quot):
-        raise ExactnessError(f"({f}) is not divisible by ({g})")
-    return AlphaPoly(tuple(int(q) for q in quot))
 
 
 def object_apply_raising(lam, f: MPoly) -> MPoly:
@@ -147,47 +121,6 @@ def gauss_jordan_solve(matrix, rhs):
                 factor = aug[r][col]
                 aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
     return [aug[r][size] for r in range(size)]
-
-
-# -- exact division ---------------------------------------------------------------
-
-small_polys = st.lists(st.integers(-12, 12), max_size=5).map(AlphaPoly)
-nonzero_polys = small_polys.filter(bool)
-
-
-def _outcome(fn, f, g):
-    try:
-        return fn(f, g)
-    except ExactnessError:
-        return ExactnessError
-
-
-@settings(max_examples=200, deadline=None)
-@given(small_polys, nonzero_polys, small_polys, st.booleans())
-def test_exact_division_matches_fraction_division(f, g, r, exact):
-    # half the pairs are exact multiples; the rest are mostly inexact
-    if exact:
-        f = f * g
-    else:
-        f = f * g + r
-    got = _outcome(exact_poly_div, f, g)
-    want = _outcome(fraction_poly_div, f, g)
-    assert got is want if want is ExactnessError else got == want
-
-
-def test_exact_division_non_monic_cases():
-    a = AlphaPoly.ALPHA
-    g = 2 * a + 3
-    assert exact_poly_div((2 * a + 3) * (a - 5), g) == a - 5
-    # divisible over Q but not over Z: the first quotient digit is 1/2
-    for fn in (exact_poly_div, fraction_poly_div):
-        with pytest.raises(ExactnessError):
-            fn(a * a + 3 * a, 2 * a + 6)
-        with pytest.raises(ExactnessError):
-            fn(a + 1, 3 * a * a)
-    assert exact_poly_div(AlphaPoly.ZERO, g) == 0
-    with pytest.raises(ZeroDivisionError):
-        exact_poly_div(a, AlphaPoly.ZERO)
 
 
 # -- packed recursion -----------------------------------------------------------------

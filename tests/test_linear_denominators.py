@@ -1,23 +1,20 @@
 """AlphaFrac with linear-factor denominators, against the general gcd.
 
-Every denominator the package builds is a product of linear factors, and
-AlphaFrac reduces those by synthetic division instead of the general
-polynomial gcd.  These tests compare the result with a reference reduced
-by poly_gcd, check that the package paths never call poly_gcd, and pin the
+Every AlphaFrac denominator is a product of linear factors, reduced by
+synthetic division.  These tests compare the result with a reference
+reduced by a general polynomial gcd, which lives here and not in the
+package, check that a denominator of degree >= 2 is refused, and pin the
 integer-only evaluation and pairing against the Fraction arithmetic they
 replace.
 """
 
-import contextlib
-import io
 from fractions import Fraction
 from math import gcd, prod
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from jackpoly import alphapoly, cli
-from jackpoly.alphapoly import AlphaFrac, AlphaPoly, exact_poly_div, poly_gcd
+from jackpoly.alphapoly import AlphaFrac, AlphaPoly
 from jackpoly.cherednik import pairing_context, scalar_product
 from jackpoly.compositions import compositions_up_to
 from jackpoly.mpoly import MPoly, clear_denominators, divide_coefficients
@@ -40,13 +37,69 @@ def fractions(draw):
     return num, factors
 
 
+# -- the general gcd, as a reference ---------------------------------------------
+
+
+def _primitive_part(p: AlphaPoly) -> AlphaPoly:
+    c = gcd(*p.coeffs)
+    return p if c <= 1 else p.exact_scalar_div(c)
+
+
+def _pseudo_rem(f: tuple, g: tuple) -> tuple:
+    """Pseudo-remainder of dense integer coefficient lists: lc(g)^(df-dg+1) f mod g."""
+    r = list(f)
+    dg = len(g) - 1
+    lg = g[-1]
+    while len(r) - 1 >= dg and any(r):
+        while r and r[-1] == 0:
+            r.pop()
+        if len(r) - 1 < dg:
+            break
+        lr = r[-1]
+        shift = len(r) - 1 - dg
+        r = [c * lg for c in r]
+        for i, gc in enumerate(g):
+            r[shift + i] -= lr * gc
+        r.pop()
+    while r and r[-1] == 0:
+        r.pop()
+    return tuple(r)
+
+
+def _poly_gcd(f: AlphaPoly, g: AlphaPoly) -> AlphaPoly:
+    """Primitive gcd with positive leading coefficient (of the primitive parts)."""
+    if not f:
+        f, g = g, f
+    f, g = _primitive_part(f).coeffs, _primitive_part(g).coeffs
+    while g:
+        f, g = g, _primitive_part(AlphaPoly(_pseudo_rem(f, g))).coeffs
+    return AlphaPoly(tuple(-c for c in f) if f and f[-1] < 0 else f)
+
+
+def _exact_poly_div(f: AlphaPoly, g: AlphaPoly) -> AlphaPoly:
+    """The quotient f / g in Z[alpha], by integer long division; asserts
+    that the division is exact."""
+    rem = list(f.coeffs)
+    gc = g.coeffs
+    dg = len(gc) - 1
+    quot = [0] * (len(rem) - dg)
+    for shift in range(len(rem) - 1 - dg, -1, -1):
+        q, r = divmod(rem[shift + dg], gc[-1])
+        assert not r
+        quot[shift] = q
+        for i in range(dg + 1):
+            rem[shift + i] -= q * gc[i]
+    assert not any(rem)
+    return AlphaPoly(quot)
+
+
 def reference(num: AlphaPoly, den: AlphaPoly) -> tuple[AlphaPoly, AlphaPoly]:
     """num / den reduced the general way: polynomial gcd, content, sign."""
     if not num:
         return AlphaPoly.ZERO, AlphaPoly.ONE
-    g = poly_gcd(num, den)
-    num, den = exact_poly_div(num, g), exact_poly_div(den, g)
-    c = gcd(num.content(), den.content())
+    g = _poly_gcd(num, den)
+    num, den = _exact_poly_div(num, g), _exact_poly_div(den, g)
+    c = gcd(*num.coeffs, *den.coeffs)
     num, den = num.exact_scalar_div(c), den.exact_scalar_div(c)
     return (-num, -den) if den.leading < 0 else (num, den)
 
@@ -60,35 +113,31 @@ def assert_reduced(frac: AlphaFrac, num: AlphaPoly, den: AlphaPoly) -> None:
 def test_linear_factors_reduce_like_the_general_gcd(x):
     num, factors = x
     den = prod(factors, start=AlphaPoly.ONE)
-    frac = AlphaFrac(num, factors)
-    assert_reduced(frac, num, den)
-    # the expanded denominator takes the general path and lands on the
-    # same canonical form, so the two compare and hash alike
-    general = AlphaFrac(num, den)
-    assert general == frac and hash(general) == hash(frac)
-    assert str(general) == str(frac)
+    assert_reduced(AlphaFrac(num, factors), num, den)
 
 
 @settings(max_examples=300, deadline=None)
-@given(fractions(), fractions())
-def test_field_operations_reduce_like_the_general_gcd(x, y):
+@given(fractions(), fractions(), st.one_of(linear, st.integers(-6, 6).filter(bool)))
+def test_field_operations_reduce_like_the_general_gcd(x, y, top):
+    # a quotient turns the divisor's numerator into a denominator, so the
+    # divisor's numerator is an int or linear
+    divisor = AlphaFrac(top, y[1])
     x, y = AlphaFrac(*x), AlphaFrac(*y)
     assert_reduced(x + y, x.num * y.den + y.num * x.den, x.den * y.den)
     assert_reduced(x - y, x.num * y.den - y.num * x.den, x.den * y.den)
     assert_reduced(x * y, x.num * y.num, x.den * y.den)
-    if y:
-        assert_reduced(x / y, x.num * y.den, x.den * y.num)
+    assert_reduced(x / divisor, x.num * divisor.den, x.den * divisor.num)
 
 
-@settings(max_examples=100, deadline=None)
-@given(fractions(), fractions(), polys.filter(lambda p: p.degree >= 2))
-def test_linear_factors_mix_with_a_general_remainder(x, y, extra):
-    # a denominator of degree >= 2 goes through poly_gcd; mixing it with
-    # linear factors must still give the canonical form
-    x = AlphaFrac(*x)
-    y = AlphaFrac(y[0], y[1] + [extra])
-    assert_reduced(x + y, x.num * y.den + y.num * x.den, x.den * y.den)
-    assert_reduced(x * y, x.num * y.num, x.den * y.den)
+def test_a_denominator_of_degree_two_is_refused():
+    with pytest.raises(ValueError, match=r"a\^2\+1.*linear factors as a list"):
+        AlphaFrac(1, A * A + 1)
+    with pytest.raises(ValueError, match=r"a\^2\+1.*linear factors as a list"):
+        AlphaFrac(1) / AlphaFrac(A * A + 1)
+    # the same degree as the list of its factors
+    frac = AlphaFrac(1, [A + 1, A + 3])
+    assert frac.den == A * A + 4 * A + 3
+    assert str(frac) == "1/(a^2+4a+3)"
 
 
 def test_sums_and_products_match_sympy_cancel():
@@ -120,27 +169,6 @@ def test_hook_lists_divide_like_the_hook_product():
         assert all(h.degree == 1 for h in upper_hooks(lam))
 
 
-# -- no gcd on the package paths -------------------------------------------------
-
-
-@pytest.mark.parametrize("argv", [
-    "verify eigen --n-max 3 --deg-max 4",
-    "verify swap --n-max 4 --deg-max 4",
-    "verify orthogonality --n-max 3 --deg-max 3",
-    "compute E --lambda 0,3,3,0,1,0,1 --n 7",
-    "compute P --lambda 3,3,2 --n 8",
-    "compute P --lambda 3,2,1 --n 4 --basis m-tilde",
-    "compute P --lambda 2,2,1 --n 4 --basis monomial-of-x",
-])
-def test_package_paths_make_no_gcd_call(argv, monkeypatch):
-    calls = []
-    monkeypatch.setattr(alphapoly, "poly_gcd", lambda *args: calls.append(args))
-    monkeypatch.setattr(alphapoly, "exact_poly_div", lambda *args: calls.append(args))
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert cli.main(argv.split()) == 0
-    assert calls == []
-
-
 # -- clearing denominators -------------------------------------------------------
 
 
@@ -156,9 +184,9 @@ def test_clear_denominators_round_trips_e():
 
 def test_clear_denominators_takes_the_lcm():
     f = MPoly(2, {(1, 0): AlphaFrac(1, [A + 1, A + 1]), (0, 1): AlphaFrac(A, [2, A + 1]),
-                  (1, 1): A + 3, (0, 0): AlphaFrac(1, A * A + 1)})
+                  (1, 1): A + 3})
     d, g = clear_denominators(f)
-    assert prod(d, start=AlphaPoly.ONE) == 2 * (A + 1) ** 2 * (A * A + 1)
+    assert prod(d, start=AlphaPoly.ONE) == 2 * (A + 1) ** 2
     assert divide_coefficients(g, d) == f
 
 

@@ -76,7 +76,7 @@ def render_cases() -> dict:
     coefs = {
         "one": 1, "minus-one": -1, "minus-three": -3, "minus-a-minus-1": -a - 1,
         "minus-2a": AlphaPoly((0, -2)), "a-squared-minus-1": a * a - 1,
-        "frac": AlphaFrac(a + 2, a * a + 1), "minus-frac": AlphaFrac(-1, a + 1),
+        "frac": AlphaFrac(a + 2, [a + 1, a + 3]), "minus-frac": AlphaFrac(-1, a + 1),
         "frac-const-den": AlphaFrac(a * a + 1, 2), "frac-integral": AlphaFrac(2 * a + 2, a + 1),
         "frac-minus-one": AlphaFrac(-1),
     }
