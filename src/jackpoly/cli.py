@@ -1,35 +1,22 @@
-"""Command-line interface: compute polynomials, run verification sweeps,
-and manage the on-disk recursion cache.
+"""Command-line interface: compute polynomials and run verification sweeps.
 
 Output is deterministic: fixed term order, sorted JSON keys, no timestamps.
 Exit codes: 0 success, 1 a verification found a counterexample, 2 bad
-usage or malformed input (including verify bounds that leave no case), 3 a
-cache file or directory could not be read, written or trusted.
+usage or malformed input (including verify bounds that leave no case).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from pathlib import Path
 
 from .alphapoly import AlphaFrac
 from .compositions import degree, is_partition, length, lower_hooks
-from .recursion import (
-    CacheFormatError,
-    RecursionCache,
-    cache_document,
-    e_poly,
-    f_poly,
-    load_cache_document,
-)
+from .recursion import RecursionCache, e_poly, f_poly
 from .render import expansion_json, format_expansion, format_poly, poly_json
 
 DESK_LIMIT = 8
-CACHE_FILE_PATTERN = "recursion-cache-n{n}.json"
-ENV_CACHE_DIR = "JACKPOLY_CACHE_DIR"
 DEFAULT_K_LIST = "1,2"
 
 
@@ -67,61 +54,6 @@ def _guard_desk_scale(force: bool, **bounds: int) -> None:
                    f"pass --force to override")
 
 
-def _cache_dir(args) -> Path | None:
-    raw = args.cache_dir or os.environ.get(ENV_CACHE_DIR)
-    return Path(raw) if raw else None
-
-
-def _cache_files(directory: Path, variable_counts=None) -> list[Path]:
-    """The cache files in a cache directory, or only those of the given
-    variable counts; none if the directory does not exist yet."""
-    if not directory.exists():
-        return []
-    if not directory.is_dir():
-        raise CliError(3, f"cache directory {directory} is not a directory")
-    if variable_counts is None:
-        return sorted(directory.glob(CACHE_FILE_PATTERN.format(n="*")))
-    paths = (directory / CACHE_FILE_PATTERN.format(n=n) for n in variable_counts)
-    return [path for path in paths if path.exists()]
-
-
-def _read_cache_file(path: Path, cache: RecursionCache) -> int:
-    try:
-        n = load_cache_document(json.loads(path.read_text(encoding="utf-8")), cache)
-    except (ValueError, OSError) as exc:
-        # ValueError covers CacheFormatError, malformed JSON and text that
-        # is not UTF-8
-        raise CliError(3, f"cannot load cache file {path}: {exc}")
-    if path.name != CACHE_FILE_PATTERN.format(n=n):
-        # a rewrite of this file would keep only the entries of its name's n
-        raise CliError(3, f"cannot load cache file {path}: it holds n={n}")
-    return n
-
-
-def _load_dir_into_cache(directory: Path, cache: RecursionCache,
-                         variable_counts=None) -> list[int]:
-    """Load the cache files of a directory, or only those of the given
-    variable counts; return the variable count of each file, in file order."""
-    return [_read_cache_file(path, cache) for path in _cache_files(directory, variable_counts)]
-
-
-def _save_cache_to_dir(directory: Path, cache: RecursionCache, variable_counts) -> None:
-    """Write the cache files of the given variable counts, each atomically:
-    a reader sees the old file or the new one, never a partial write.  The
-    files are written compactly, which lets json use its C encoder."""
-    for n in variable_counts:
-        path = directory / CACHE_FILE_PATTERN.format(n=n)
-        tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-        try:
-            directory.mkdir(parents=True, exist_ok=True)
-            tmp.write_text(json.dumps(cache_document(cache, n), sort_keys=True) + "\n",
-                           encoding="utf-8")
-            os.replace(tmp, path)
-        except OSError as exc:
-            tmp.unlink(missing_ok=True)
-            raise CliError(3, f"cannot write cache file {path}: {exc}")
-
-
 def _emit_json(doc) -> None:
     """Print doc as sorted, indented JSON, written in batches of encoder
     chunks.  With an indent json encodes in pure Python, one small string
@@ -139,6 +71,11 @@ def _emit_json(doc) -> None:
 
 
 def _cmd_compute(args) -> int:
+    if args.cache_dir is not None:
+        # computing F is faster than reading it back, so nothing is kept on
+        # disk; the directory is neither read nor created
+        print("jackpoly: note: --cache-dir is ignored; jackpoly keeps no cache on disk",
+              file=sys.stderr)
     lam = _parse_lambda(args.lam)
     n = args.n
     if n < 1:
@@ -146,13 +83,6 @@ def _cmd_compute(args) -> int:
     _guard_desk_scale(args.force, n=n, degree=degree(lam))
 
     kind = args.kind
-    cache = RecursionCache()
-    directory = _cache_dir(args)
-    if directory is not None:
-        # only F and E use the cache, and only the file of their n
-        _load_dir_into_cache(directory, cache, [n] if kind in ("F", "E") else [])
-        loaded = cache.entry_counts()
-
     basis = args.basis
     expansion = None
     if kind in ("J", "P"):
@@ -179,11 +109,9 @@ def _cmd_compute(args) -> int:
         if len(lam) > n:
             raise CliError(2, f"--lambda has {len(lam)} parts but --n is {n}")
         padded = lam + (0,) * (n - len(lam))
+        # a memo for one request: perfbench/tracer.py counts the steps as its puts
+        cache = RecursionCache()
         poly = f_poly(padded, cache) if kind == "F" else e_poly(padded, cache)
-
-    if directory is not None:
-        grown = [v for v, count in cache.entry_counts().items() if count > loaded.get(v, 0)]
-        _save_cache_to_dir(directory, cache, grown)
 
     if expansion is None:
         if args.format == "json":
@@ -269,103 +197,11 @@ def _cmd_verify(args) -> int:
     return 0 if all(v.passed for v in verdicts) else 1
 
 
-# -- cache -------------------------------------------------------------------
-
-
-def _require_cache_dir(args) -> Path:
-    directory = _cache_dir(args)
-    if directory is None:
-        raise CliError(2, "a cache directory is required: pass --cache-dir "
-                          f"or set {ENV_CACHE_DIR}")
-    return directory
-
-
-def _cache_stats(directory: Path) -> dict:
-    cache = RecursionCache()
-    files = []
-    # every file holds the n of its name, so each n is one file
-    for n in _load_dir_into_cache(directory, cache):
-        entries = cache.entries(n)
-        files.append({"n": n, "entries": len(entries),
-                      "terms": sum(len(f.terms) for _, f in entries)})
-    return {"kind": "cache-stats", "files": files,
-            "entries": sum(f["entries"] for f in files),
-            "terms": sum(f["terms"] for f in files)}
-
-
-def _cmd_cache(args) -> int:
-    directory = _require_cache_dir(args)
-    action = args.action
-    if action == "stats":
-        doc = _cache_stats(directory)
-        if args.format == "json":
-            _emit_json(doc)
-        else:
-            for item in doc["files"]:
-                print(f"n={item['n']} entries={item['entries']} terms={item['terms']}")
-            print(f"total entries={doc['entries']} terms={doc['terms']}")
-        return 0
-    if action == "clear":
-        removed = 0
-        for path in _cache_files(directory):
-            try:
-                path.unlink()
-            except OSError as exc:
-                raise CliError(3, f"cannot remove cache file {path}: {exc}")
-            removed += 1
-        print(f"removed {removed} cache file(s)")
-        return 0
-    if action == "export":
-        if not args.path:
-            raise CliError(2, "cache export requires --path")
-        cache = RecursionCache()
-        _load_dir_into_cache(directory, cache)
-        counts = cache.variable_counts()
-        if not counts:
-            raise CliError(2, f"no cache files in {directory}")
-        if args.n is not None:
-            if args.n not in counts:
-                raise CliError(2, f"no cache entries for n={args.n}")
-            n = args.n
-        elif len(counts) == 1:
-            n = counts[0]
-        else:
-            raise CliError(2, f"cache holds several variable counts {counts}; pass --n")
-        try:
-            Path(args.path).write_text(
-                json.dumps(cache_document(cache, n), sort_keys=True, indent=1) + "\n")
-        except OSError as exc:
-            raise CliError(3, f"cannot write {args.path}: {exc}")
-        print(f"exported n={n} to {args.path}")
-        return 0
-    if action == "import":
-        if not args.path:
-            raise CliError(2, "cache import requires --path")
-        cache = RecursionCache()
-        _load_dir_into_cache(directory, cache)
-        try:
-            doc = json.loads(Path(args.path).read_text(encoding="utf-8"))
-        except (ValueError, OSError) as exc:
-            raise CliError(3, f"cannot read {args.path}: {exc}")
-        try:
-            n = load_cache_document(doc, cache)
-        except CacheFormatError as exc:
-            raise CliError(3, str(exc))
-        _save_cache_to_dir(directory, cache, cache.variable_counts())
-        print(f"imported n={n} from {args.path}")
-        return 0
-    raise CliError(2, f"unknown cache action {action!r}")
-
-
 # -- parser -------------------------------------------------------------------
 
 
 def build_parser() -> argparse.ArgumentParser:
     # each flag only on the subcommands that read it
-    cache_dir = argparse.ArgumentParser(add_help=False)
-    cache_dir.add_argument("--cache-dir", default=None,
-                           help=f"directory for recursion cache files (or {ENV_CACHE_DIR}, "
-                                "which only compute and cache read)")
     force = argparse.ArgumentParser(add_help=False)
     force.add_argument("--force", action="store_true",
                        help="override the desk-scale guardrails")
@@ -373,13 +209,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="jackpoly",
         description="Exact Jack polynomials: two independent engines plus "
-                    "verification sweeps for their defining identities.",
-        epilog=f"{ENV_CACHE_DIR} names the cache directory when --cache-dir is not "
-               "given; only compute and cache read it, verify uses no cache.")
+                    "verification sweeps for their defining identities.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_compute = sub.add_parser("compute", parents=[cache_dir, force],
+    p_compute = sub.add_parser("compute", parents=[force],
                                help="compute one polynomial or expansion")
+    # accepted and ignored (see _cmd_compute), so that scripts passing it still run
+    p_compute.add_argument("--cache-dir", default=None, help=argparse.SUPPRESS)
     p_compute.add_argument("kind", choices=["F", "E", "J", "P"])
     p_compute.add_argument("--format", choices=["json", "text", "latex"], default="text")
     p_compute.add_argument("--lambda", dest="lam", required=True,
@@ -399,14 +235,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="reciprocal alpha values for the pairing, orthogonality "
                                f"only (default {DEFAULT_K_LIST})")
 
-    p_cache = sub.add_parser("cache", parents=[cache_dir],
-                             help="inspect or move the recursion cache")
-    p_cache.add_argument("action", choices=["stats", "clear", "export", "import"])
-    p_cache.add_argument("--format", choices=["json", "text"], default="text")
-    p_cache.add_argument("--path", default=None, help="file for export/import")
-    p_cache.add_argument("--n", type=int, default=None,
-                         help="variable count to export when several are cached")
-
     return parser
 
 
@@ -416,9 +244,7 @@ def main(argv=None) -> int:
     try:
         if args.command == "compute":
             return _cmd_compute(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        return _cmd_cache(args)
+        return _cmd_verify(args)
     except CliError as exc:
         print(f"jackpoly: error: {exc}", file=sys.stderr)
         return exc.code

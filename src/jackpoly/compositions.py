@@ -318,8 +318,3 @@ def distinct_permutations(items: Sequence[int]) -> Iterator[Composition]:
                 counts[x] += 1
 
     yield from rec()
-
-
-def orbit(lam: Sequence[int]) -> Iterator[Composition]:
-    """The distinct rearrangements of a composition."""
-    return distinct_permutations(tuple(lam))

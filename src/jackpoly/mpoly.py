@@ -91,9 +91,6 @@ class MPoly:
         """Coefficient of the given exponent vector (0 if absent)."""
         return self.terms.get(tuple(exp), 0)
 
-    def constant_term(self):
-        return self.terms.get((0,) * self.n, 0)
-
     def is_laurent(self) -> bool:
         return any(any(x < 0 for x in e) for e in self.terms)
 

@@ -12,7 +12,6 @@ product of upper hooks over the diagram.
 
 from __future__ import annotations
 
-import re
 from typing import NamedTuple, Sequence
 
 from .alphapoly import AlphaFrac, AlphaPoly
@@ -23,140 +22,37 @@ from .compositions import (
     phi_unshift,
     raising_scalar,
     star_shape,
-    upper_hook_product,
     upper_hooks,
 )
 from .mpoly import MPoly, divide_coefficients
 from . import permutations as perm
 
-CACHE_FORMAT_VERSION = 1
-
-
-class CacheFormatError(ValueError):
-    """A cache document has the wrong version or inconsistent contents."""
-
 
 class RecursionCache:
-    """Memo of computed F polynomials, keyed by composition, and of the E
-    polynomials e_poly derives from them.
+    """In-memory memo of the F polynomials f_poly computes, keyed by
+    composition, and of the E polynomials e_poly derives from them
+    (``monic``).
 
-    Purely an accelerator: results are identical with a warm, cold or absent
-    cache, provided every entry is the true F (entries are trusted).  Only
-    the F entries are counted, listed and written to cache files; the E memo
-    (``monic``) lives in memory only.
+    It lives as long as the caller keeps it, so a sweep builds each F and E
+    once per process.  Purely an accelerator: results are identical with a
+    warm, cold or absent memo, provided every entry put in it is the true F
+    (entries are trusted).
     """
 
     def __init__(self):
-        self._data: dict[tuple[int, Composition], MPoly] = {}
+        self._data: dict[Composition, MPoly] = {}
         self.monic: dict[Composition, MPoly] = {}
 
     def get(self, lam: Composition) -> MPoly | None:
-        return self._data.get((len(lam), lam))
+        return self._data.get(lam)
 
     def put(self, lam: Composition, poly: MPoly) -> None:
-        self._data.setdefault((len(lam), lam), poly)
+        self._data.setdefault(lam, poly)
 
     def __len__(self) -> int:
+        """The number of F entries; perfbench/tracer.py counts recursion
+        steps as the puts that grow it."""
         return len(self._data)
-
-    def variable_counts(self) -> list[int]:
-        return sorted(self.entry_counts())
-
-    def entry_counts(self) -> dict[int, int]:
-        """The number of entries per variable count."""
-        counts: dict[int, int] = {}
-        for n, _ in self._data:
-            counts[n] = counts.get(n, 0) + 1
-        return counts
-
-    def entries(self, n: int) -> list[tuple[Composition, MPoly]]:
-        items = [(lam, f) for (nn, lam), f in self._data.items() if nn == n]
-        items.sort(key=lambda t: (sum(t[0]), t[0]))
-        return items
-
-
-def cache_document(cache: RecursionCache, n: int) -> dict:
-    """Serialize the n-variable slice of a cache to its JSON document."""
-    entries = []
-    for lam, f in cache.entries(n):
-        entries.append({
-            "lambda": list(lam),
-            "poly": [{"exp": list(e), "coef": c.to_json()} for e, c in f.sorted_terms()],
-        })
-    return {"version": CACHE_FORMAT_VERSION, "n": n, "entries": entries}
-
-
-_DECIMAL = re.compile(r"-?[0-9]+")
-
-
-def _json_ints(items) -> tuple[int, ...]:
-    """Integers from a JSON list whose items are JSON integers or decimal
-    strings.  Floats and bools are refused rather than truncated or read as
-    0/1."""
-    if type(items) is not list:
-        raise CacheFormatError(f"expected a list of integers, got {items!r}")
-    for x in items:
-        if type(x) is not int and not (type(x) is str and _DECIMAL.fullmatch(x)):
-            raise CacheFormatError(f"expected an integer, got {x!r}")
-    return tuple(map(int, items))
-
-
-def load_cache_document(doc: dict, cache: RecursionCache) -> int:
-    """Install entries from a JSON cache document; returns its variable count.
-
-    Rejects, at O(terms) cost per entry:
-    - a version mismatch and an invalid variable count;
-    - a composition or exponent whose length is not n, or with a negative
-      entry, and an exponent whose degree is not |lam|;
-    - numbers that are not integers, and negative coefficient digits (every
-      coefficient of F is a non-negative polynomial, and the recursion relies
-      on that);
-    - an entry with no terms, and one whose coefficient of x^lam is not
-      upper_hook_product(lam), the lead coefficient of F.
-    Other terms are trusted: a well-formed entry with a wrong or missing
-    non-lead term is not caught.
-    """
-    if not isinstance(doc, dict):
-        raise CacheFormatError("cache document is not an object")
-    if doc.get("version") != CACHE_FORMAT_VERSION:
-        raise CacheFormatError(
-            f"unsupported cache version {doc.get('version')!r}, want {CACHE_FORMAT_VERSION}")
-    n = doc.get("n")
-    if type(n) is not int or n < 1:
-        raise CacheFormatError("cache document has an invalid variable count")
-    try:
-        for entry in doc["entries"]:
-            lam = _json_ints(entry["lambda"])
-            if len(lam) != n or any(x < 0 for x in lam):
-                raise CacheFormatError(f"entry {lam} inconsistent with n={n}")
-            size = sum(lam)
-            terms = {}
-            for term in entry["poly"]:
-                exp = _json_ints(term["exp"])
-                if len(exp) != n:
-                    raise CacheFormatError(f"exponent {exp} inconsistent with n={n}")
-                if any(x < 0 for x in exp):
-                    raise CacheFormatError(f"entry {lam} has a negative exponent {exp}")
-                if sum(exp) != size:
-                    raise CacheFormatError(f"entry {lam} has exponent {exp} of degree "
-                                           f"{sum(exp)}, want {size}")
-                coef = AlphaPoly(_json_ints(term["coef"]))
-                if not coef.is_nonnegative():
-                    raise CacheFormatError(f"entry {lam} has a negative coefficient {coef}")
-                terms[exp] = coef
-            f = MPoly(n, terms)
-            if not f.terms:
-                raise CacheFormatError(f"entry {lam} has no terms")
-            lead = f.terms.get(lam, AlphaPoly.ZERO)
-            if lead != upper_hook_product(lam):
-                raise CacheFormatError(f"entry {lam} has lead coefficient {lead}, "
-                                       f"want {upper_hook_product(lam)}")
-            cache.put(lam, f)
-    except (KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, CacheFormatError):
-            raise
-        raise CacheFormatError(f"corrupt cache document: {exc}") from exc
-    return n
 
 
 # -- the raising operators ---------------------------------------------------
@@ -218,7 +114,7 @@ def _digit_bound(start: MPoly, pending: list[Composition]) -> int:
     total = 0
     for c in start.terms.values():
         if any(d < 0 for d in c.coeffs):
-            raise CacheFormatError(
+            raise ValueError(
                 f"F has a negative coefficient {c}; the recursion cannot continue from it")
         total += sum(c.coeffs)
     for lam in pending:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import factorial, lcm
+from math import factorial
 from typing import NamedTuple, Sequence
 
 from .alphapoly import AlphaFrac, AlphaPoly, ExactnessError
@@ -309,18 +309,6 @@ def elementary_product(parts: Sequence[int], n: int) -> MPoly:
     for k in parts:
         out = out * elementary_poly(k, n)
     return out
-
-
-def _solve_fraction_system(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
-    """Solve a square system with rational entries: each row, with its
-    right-hand side, is scaled to integers and handed to
-    _solve_integer_system."""
-    aug = []
-    for r, row in enumerate(matrix):
-        row = [Fraction(x) for x in row] + [Fraction(rhs[r])]
-        scale = lcm(*(x.denominator for x in row))
-        aug.append([x.numerator * (scale // x.denominator) for x in row])
-    return _solve_integer_system(aug)
 
 
 def _solve_integer_system(aug: list[list[int]]) -> list[Fraction]:

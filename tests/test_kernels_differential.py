@@ -8,8 +8,8 @@ The default run covers n <= 6 and degree <= 6 (n <= 7 for the walk); the
 ``slow`` group (``pytest -m slow``) widens the same comparisons.
 """
 
-import json
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,16 +27,8 @@ from jackpoly.compositions import (
     star_shape,
 )
 from jackpoly.mpoly import MPoly
-from jackpoly.recursion import (
-    CacheFormatError,
-    RecursionCache,
-    _digit_bound,
-    cache_document,
-    f_poly,
-    load_cache_document,
-)
+from jackpoly.recursion import RecursionCache, _digit_bound, f_poly
 from jackpoly.symmetric import (
-    _solve_fraction_system,
     _solve_integer_system,
     expand_monomial,
     j_expansion,
@@ -136,17 +128,13 @@ def _check_f_three_ways(n_max: int, deg_max: int) -> None:
         assert f_poly(lam) == expected[lam], lam
         assert f_poly(lam, shared) == expected[lam], lam
 
-    # start from loaded entries: only the lower half of each chain is on disk
+    # start from seeded entries: only the lower half of each chain is memoized
     seeded = RecursionCache()
     for lam in shapes:
         if sum(lam) <= deg_max // 2:
             seeded.put(lam, expected[lam])
-    loaded = RecursionCache()
-    for n in seeded.variable_counts():
-        load_cache_document(json.loads(json.dumps(cache_document(seeded, n))), loaded)
-    assert len(loaded) == len(seeded)
     for lam in shapes:
-        assert f_poly(lam, loaded) == expected[lam], lam
+        assert f_poly(lam, seeded) == expected[lam], lam
 
 
 def test_packed_recursion_matches_object_recursion():
@@ -161,7 +149,7 @@ def test_packed_recursion_matches_object_recursion_wide():
 def test_packed_recursion_refuses_negative_start():
     cache = RecursionCache()
     cache.put((1, 0), MPoly(2, {(1, 0): AlphaPoly((-7,)), (0, 1): AlphaPoly.ONE}))
-    with pytest.raises(CacheFormatError):
+    with pytest.raises(ValueError, match="negative coefficient"):
         f_poly((2, 0), cache)
 
 
@@ -267,11 +255,21 @@ def square_systems(draw):
     return rows, rhs
 
 
-def _solve_outcome(fn, matrix, rhs):
+def _solve_outcome(fn, *system):
     try:
-        return fn([row[:] for row in matrix], rhs[:])
+        return fn(*system)
     except ArithmeticError:
         return ArithmeticError
+
+
+def _integer_rows(matrix, rhs):
+    """The rows [A | b] of a rational system, each scaled to integers."""
+    rows = []
+    for row, b in zip(matrix, rhs):
+        row = row + [b]
+        scale = lcm(*(x.denominator for x in row))
+        rows.append([x.numerator * (scale // x.denominator) for x in row])
+    return rows
 
 
 @settings(max_examples=300, deadline=None)
@@ -279,7 +277,7 @@ def _solve_outcome(fn, matrix, rhs):
 def test_fraction_free_solve_matches_gauss_jordan(system):
     matrix, rhs = system
     want = _solve_outcome(gauss_jordan_solve, matrix, rhs)
-    got = _solve_outcome(_solve_fraction_system, matrix, rhs)
+    got = _solve_outcome(_solve_integer_system, _integer_rows(matrix, rhs))
     assert got == want
 
 
@@ -298,13 +296,8 @@ def integer_systems(draw):
 def test_integer_rows_solve_like_the_fraction_path(rows):
     matrix = [[Fraction(a) for a in row[:-1]] for row in rows]
     rhs = [Fraction(row[-1]) for row in rows]
-    want = _solve_outcome(_solve_fraction_system, matrix, rhs)
-    assert want == _solve_outcome(gauss_jordan_solve, matrix, rhs)
-    try:
-        got = _solve_integer_system([row[:] for row in rows])
-    except ArithmeticError:
-        got = ArithmeticError
-    assert got == want
+    want = _solve_outcome(gauss_jordan_solve, matrix, rhs)
+    assert _solve_outcome(_solve_integer_system, [row[:] for row in rows]) == want
 
 
 def test_pairing_systems_solve_like_the_fraction_path():
@@ -317,5 +310,4 @@ def test_pairing_systems_solve_like_the_fraction_path():
                 + [-monomial_pairing(ctx, lam, nu)] for nu in lower]
         matrix = [[Fraction(a) for a in row[:-1]] for row in rows]
         rhs = [Fraction(row[-1]) for row in rows]
-        assert _solve_integer_system(rows) == _solve_fraction_system(matrix, rhs) \
-            == gauss_jordan_solve(matrix, rhs)
+        assert _solve_integer_system(rows) == gauss_jordan_solve(matrix, rhs)

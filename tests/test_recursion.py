@@ -1,6 +1,3 @@
-import json
-import re
-
 import pytest
 
 from jackpoly.alphapoly import AlphaFrac, AlphaPoly
@@ -14,14 +11,11 @@ from jackpoly.compositions import (
 )
 from jackpoly.mpoly import MPoly
 from jackpoly.recursion import (
-    CacheFormatError,
     RecursionCache,
-    cache_document,
     creation_apply,
     cyclic_identity,
     e_poly,
     f_poly,
-    load_cache_document,
     phi_k,
     swap_adjacent,
 )
@@ -139,75 +133,13 @@ def test_cyclic_identity(shared_cache):
         cyclic_identity((1, 0), shared_cache)
 
 
-def test_cache_document_round_trip(shared_cache):
-    cache = RecursionCache()
-    for lam in [(1, 0), (1, 1), (2, 0)]:
-        f_poly(lam, cache)
-    doc = cache_document(cache, 2)
-    assert doc["version"] == 1 and doc["n"] == 2
-    # survives a JSON round trip into a fresh store
-    doc = json.loads(json.dumps(doc))
-    fresh = RecursionCache()
-    assert load_cache_document(doc, fresh) == 2
-    for lam in [(1, 0), (1, 1), (2, 0)]:
-        assert fresh.get(lam) == f_poly(lam)
-
-
-def test_cache_document_version_gate():
-    with pytest.raises(CacheFormatError):
-        load_cache_document({"version": 99, "n": 2, "entries": []}, RecursionCache())
-    with pytest.raises(CacheFormatError):
-        load_cache_document({"version": 1, "n": 0, "entries": []}, RecursionCache())
-    with pytest.raises(CacheFormatError):
-        load_cache_document(
-            {"version": 1, "n": 2, "entries": [{"lambda": [1], "poly": []}]},
-            RecursionCache())
-    with pytest.raises(CacheFormatError):
-        load_cache_document(
-            {"version": 1, "n": 2,
-             "entries": [{"lambda": [1, 0], "poly": [{"exp": [1], "coef": ["1"]}]}]},
-            RecursionCache())
-    with pytest.raises(CacheFormatError):
-        load_cache_document({"version": 1, "n": 2, "entries": [{}]}, RecursionCache())
-
-
 def test_lead_coefficient_of_f_is_the_upper_hook_product(shared_cache):
-    # load_cache_document refuses an entry whose x^lam coefficient differs
     count = 0
     for n in range(1, 6):
         for lam in compositions_up_to(n, 6):
             assert f_poly(lam, shared_cache).terms[lam] == upper_hook_product(lam), lam
             count += 1
     assert count == 791
-    for n in range(1, 6):
-        doc = json.loads(json.dumps(cache_document(shared_cache, n)))
-        assert load_cache_document(doc, RecursionCache()) == n
-
-
-@pytest.mark.parametrize("poly,reason", [
-    ([], "no terms"),
-    ([{"exp": [1, 0], "coef": ["1", "1"]}, {"exp": [2, -1], "coef": ["1"]}],
-     "negative exponent"),
-    ([{"exp": [1, 0], "coef": ["1", "1"]}, {"exp": [0, 2], "coef": ["1"]}], "degree 2"),
-    ([{"exp": [1, 0], "coef": ["2", "1"]}, {"exp": [0, 1], "coef": ["1"]}],
-     "lead coefficient a+2, want a+1"),
-    ([{"exp": [0, 1], "coef": ["1"]}], "lead coefficient 0, want a+1"),
-    ([{"exp": [1, 0], "coef": ["0"]}, {"exp": [0, 1], "coef": ["1"]}],
-     "lead coefficient 0, want a+1"),
-], ids=["empty", "negative-exponent", "wrong-degree", "wrong-lead", "missing-lead",
-        "zero-lead"])
-def test_cache_document_rejects_wrong_format_or_lead(poly, reason):
-    doc = {"version": 1, "n": 2, "entries": [{"lambda": [1, 0], "poly": poly}]}
-    with pytest.raises(CacheFormatError, match=re.escape(reason)):
-        load_cache_document(doc, RecursionCache())
-
-
-def test_cache_stats_helpers():
-    cache = RecursionCache()
-    f_poly((1, 1), cache)
-    f_poly((1, 0, 0), cache)
-    assert cache.variable_counts() == [2, 3]
-    assert len(cache) == len(cache.entries(2)) + len(cache.entries(3))
 
 
 # -- the in-memory E memo ----------------------------------------------------
@@ -222,11 +154,13 @@ def test_e_memo_returns_the_stored_object():
 
 def test_e_memo_is_not_an_f_entry():
     cache = RecursionCache()
-    f_poly((2, 0, 1), cache)
-    counts, document = cache.entry_counts(), cache_document(cache, 3)
-    e_poly((2, 0, 1), cache)
-    assert cache.entry_counts() == counts and len(cache) == sum(counts.values())
-    assert cache_document(cache, 3) == document
+    lam = (2, 0, 1)
+    f = f_poly(lam, cache)
+    entries = len(cache)
+    e = e_poly(lam, cache)
+    assert e != f
+    assert cache.get(lam) is f and cache.monic[lam] is e
+    assert len(cache) == entries
 
 
 def test_lead_check_runs_when_e_is_first_built():
